@@ -72,7 +72,6 @@ from .mrf import (
 from .staircase import (
     SolverParams,
     StaircaseResult,
-    check_rank_deficiency,
     staircase_solve,
     tnt_minimize,
 )

@@ -57,7 +57,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("solver parameters")
     g.add_argument("--grad-norm-tol", type=float, default=None,
                    help="gradient norm tolerance (default 1e-2 fuses, 1e-3 dars)")
-    g.add_argument("--eig-tol", type=float, default=1e-2)
+    g.add_argument("--eig-tol", type=float, default=1e-2,
+                   help="lift the rank when the smallest eigenvalue of the "
+                        "certificate matrix S is below -EIG_TOL (default 1e-2)")
     g.add_argument("--rel-func-decrease-tol", type=float, default=1e-5)
     g.add_argument("--max-tnt-iterations", type=int, default=500)
     g.add_argument("--initial-tr-radius", type=float, default=1.0)
@@ -145,7 +147,8 @@ def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> di
         payload["staircase"] = {
             "rank_history": [[int(r), int(i), float(g)]
                              for r, i, g in res.rank_history],
-            "min_singular_value_ratio": float(res.min_singular_value_ratio),
+            "lower_bound": float(res.lower_bound),
+            "min_eig": float(res.min_eig),
         }
         payload["timing"] = dict(res.timings)
     elif method == "dars":

@@ -10,10 +10,22 @@ trace(U_i Y) = 2 - K with multipliers lambda.  Each iteration:
            unchanged), warm-started from the previous factor;
   dual:    lambda_i += step * (trace(U_i R R^T) - (2 - K)).
 
-The dual function value d(lambda) = primal_min - (2-K) * sum(lambda) is a
-lower bound on the relaxation optimum whenever the primal step is
-certified, which gives the suboptimality certificate
-f_rounded - f_opt <= f_rounded - (d(lambda) + offset).
+The dual function d(lambda) = min_Y trace(L_lambda Y) - (2-K) sum(lambda)
+is a lower bound on the relaxation optimum for every lambda.  The primal
+minimum is itself bounded below by the staircase's dual certificate on
+L_lambda, with diagonal multipliers mu_i = (L_lambda R R^T)_ii only:
+
+    min_Y trace(L_lambda Y)
+        >= lower_bound = sum(mu) + min(0, lambda_min(L_lambda - Diag mu)) (NK+1)
+
+with the eigen-solver's residual charged, so
+
+    dual_bound = lower_bound - (2-K) sum(lambda) + offset
+
+is a lower bound on the discrete optimum at any lambda, converged or not,
+and subopt_bound = f_rounded - dual_bound.  f_relaxed, the primal value at
+a point that need not satisfy the sum constraints, is reported but is not
+a bound.
 
 Rounding takes the dominant singular direction of R, fixes its global sign
 so the homogenization entry is nonnegative, and assigns each node the
@@ -141,9 +153,10 @@ def dars_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
 
 def dars_certificate(result: DarsResult, f_opt: float | None = None,
                      tol: float = 1e-9):
-    """(bound_valid, gap).  Valid only for converged, certified runs; with a
-    known optimum the rounding bound is checked, otherwise only gap >= 0."""
-    gap = result.f_rounded - result.f_relaxed
+    """(bound_valid, gap) with gap = f_rounded - dual_bound.  Valid only for
+    converged, certified runs; with a known optimum the rounding bound is
+    checked, otherwise only gap >= 0."""
+    gap = result.f_rounded - result.dual_bound
     if not (result.dual_converged and result.certified):
         return False, gap
     if f_opt is None:
@@ -189,6 +202,7 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         R = res.R_opt
         rank_history = res.rank_history
         dual_values.append(res.objective - enc.rhs * float(lam.sum()))
+        lower_bound = res.lower_bound - enc.rhs * float(lam.sum())
         cert_hist.append(res.certified)
         grad = dual_gradient(enc, R)
         residual = float(np.max(np.abs(grad))) if n else 0.0
@@ -210,7 +224,7 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
     labeling = dars_round(R, n, k)
     f_rounded = energy(mrf, labeling)
     f_relaxed = trace_quadratic(enc.L, R) + enc.offset
-    dual_bound = dual_values[-1] + enc.offset
+    dual_bound = lower_bound + enc.offset
     t_end = time.perf_counter()
     timings = {
         "encode_s": t_encode - t0,
@@ -222,7 +236,7 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         labeling=labeling,
         f_relaxed=f_relaxed,
         f_rounded=f_rounded,
-        subopt_bound=f_rounded - f_relaxed,
+        subopt_bound=f_rounded - dual_bound,
         dual_bound=dual_bound,
         dual_converged=converged,
         certified=bool(cert_hist[-1]),

@@ -1,22 +1,21 @@
 """Binary-matrix relaxation pipeline: encode, staircase at rank K+1, round.
 
 The relaxed problem minimizes trace(Q R R^T) over N unit-norm rows plus an
-orthonormal K-row bottom block.  A certified (rank-deficient second-order
-critical) factor R gives the relaxation optimum, so
+orthonormal K-row bottom block.  The staircase's dual certificate (see
+mrfsdp.staircase) bounds the relaxation, and so the discrete optimum, from
+below at whatever point it stops, so with lower_bound = that bound + offset
 
-    f_relaxed = trace(Q R R^T) + offset
+    f_rounded - f_opt <= subopt_bound = f_rounded - lower_bound
 
-is a lower bound on the discrete optimum, and the per-instance bound
-
-    f_rounded - f_opt <= f_rounded - f_relaxed
-
-holds without knowing f_opt.  Rounding reads the top-right N x K block of
-R R^T directly as R_top @ R_bottom^T (rank <= r already) and takes per-row
-argmax, ties broken toward the lowest label index.
+holds without knowing f_opt, certified or not.  Rounding reads the
+top-right N x K block of R R^T directly as R_top @ R_bottom^T (rank <= r
+already) and takes per-row argmax, ties broken toward the lowest label
+index.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +36,8 @@ class FusesResult:
     subopt_bound: float
     certified: bool
     rank_history: list = field(default_factory=list)
-    min_singular_value_ratio: float = float("nan")
+    lower_bound: float = -math.inf
+    min_eig: float = float("nan")
     offset: float = 0.0
     wall_time: float = 0.0
     timings: dict = field(default_factory=dict)
@@ -83,16 +83,18 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
     X = fuses_round(res.R_opt, n, k)
     labeling = X.argmax(axis=1)
     f_relaxed = res.objective + enc.offset
+    lower_bound = res.lower_bound + enc.offset
     f_rounded = energy(mrf, labeling)
     t_end = time.perf_counter()
     return FusesResult(
         labeling=labeling,
         f_relaxed=f_relaxed,
         f_rounded=f_rounded,
-        subopt_bound=f_rounded - f_relaxed,
+        subopt_bound=f_rounded - lower_bound,
         certified=res.certified,
         rank_history=res.rank_history,
-        min_singular_value_ratio=res.min_singular_value_ratio,
+        lower_bound=lower_bound,
+        min_eig=res.min_eig,
         offset=enc.offset,
         wall_time=t_end - t0,
         timings={

@@ -1,11 +1,36 @@
 """Truncated-Newton trust-region solver and the rank staircase.
 
 tnt_minimize drives trace(M R R^T) down over the product manifold with a
-Steihaug-Toint truncated-CG inner solve.  staircase_solve wraps it: solve at
-the current rank, test column-rank deficiency of R (the global-optimality
-certificate for the lifted SDP), and if the critical point is full rank,
-append a zero column and escape along a negative-curvature direction of the
-lifted Hessian (found by Lanczos) before re-optimizing at rank r + 1.
+Steihaug-Toint truncated-CG inner solve.  staircase_solve wraps it in a
+Burer-Monteiro rank staircase certified by a dual (Lagrange-multiplier)
+bound, as in SE-Sync (Rosen et al., arXiv 1612.07386):
+
+* at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol (and a
+  relative decrease 1e4x below rel_func_decrease_tol), so the multipliers
+  read off R are accurate;
+* the multipliers are lambda_i = (M R)_i . R_i on unit rows and
+  Lambda_B = sym((M R)_B R_B^T) on the orthonormal block, and the
+  certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
+* every feasible Y of the SDP (unit diagonal, Y_BB = I, Y psd) has trace
+  m, the number of rows, so trace(M Y) = sum(lambda) + tr(Lambda_B) +
+  trace(S Y) is at least
+
+      lower_bound = sum(lambda) + tr(Lambda_B) + min(0, lambda_min(S)) * m,
+
+  for any R at any weight scale.  sum(lambda) + tr(Lambda_B) equals
+  trace(M R R^T) exactly, so the gap f - lower_bound is the eigenvalue term
+  alone;
+* lambda_min(S) comes from ARPACK (scipy eigsh, largest eigenvalue of the
+  Gershgorin-shifted G I - S, G = max_i sum_j |S_ij|; a dense solve for
+  m <= 300).  The Ritz pair (theta, v) has residual r = S v - theta v, and
+  the bound uses theta - ||r||, so the eigen-solver's error is charged
+  against it.  If ARPACK does not converge, the Gershgorin bound -G stands
+  in for theta;
+* the run is certified when the gap is within 1e-5 max(1, |f|).  Otherwise,
+  when theta < -eig_tol, v is a direction of negative curvature one rank up
+  (Boumal, Voroninski, Bandeira, arXiv 1606.04970): R gains a zero column
+  and descends along v e_{r+1}^T, a tangent vector there, before TNT
+  resumes at rank r + 1.  Otherwise the staircase stops uncertified.
 
 Default tolerances follow the reference parameterization: gradient norm
 1e-2 (the sign-vector pipeline overrides to 1e-3), eigenvalue tolerance
@@ -17,9 +42,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InvalidInputError, NumericalFailureError
 from .manifold import (
@@ -41,6 +69,23 @@ _ACCEPT_RATIO = 0.1
 _VERY_SUCCESSFUL_RATIO = 0.9
 _CG_THETA = 0.5
 _MIN_RADIUS = 1e-14
+# TNT tolerances before a certificate, relative to grad_norm_tol and
+# rel_func_decrease_tol: the gap f - lower_bound grows with the gradient
+# norm at R, and ARPACK stalls on S at loosely converged points
+_REFINE_GRAD_FACTOR = 1e-3
+_REFINE_DECREASE_FACTOR = 1e-4
+# certified when f - lower_bound <= _CERTIFY_RTOL * max(1, |f|)
+_CERTIFY_RTOL = 1e-5
+# certificate matrices up to this size get a dense eigen-solve: it is as
+# fast there, and ARPACK stalls on small matrices with clustered spectra
+_DENSE_EIG_ROWS = 300
+# ARPACK's tolerance keeps the charged residual ||r|| m within this share
+# of the certification budget _CERTIFY_RTOL * max(1, |f|)
+_EIGSH_BUDGET_SHARE = 0.5
+# Krylov basis size: the smallest eigenvalues of S come in tight clusters
+# (one per column of R), which a larger basis resolves in far fewer restarts
+_EIGSH_NCV = 60
+_EIGSH_MAXITER = 1000
 
 
 @dataclass(frozen=True)
@@ -83,8 +128,8 @@ class StaircaseResult:
     objective: float
     rank_history: list = field(default_factory=list)
     certified: bool = False
-    min_singular_value_ratio: float = float("nan")
-    escape_min_eig: float | None = None
+    lower_bound: float = -math.inf
+    min_eig: float = float("nan")
 
 
 def _inner(a, b) -> float:
@@ -130,14 +175,16 @@ def _steihaug(grad, hess_vec, radius, max_iters, eta):
 
 
 def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
-                 verbose: bool = False):
+                 verbose: bool = False, *, check: bool = True):
     """Minimize trace(M R R^T) from initial_point.
 
     Returns (point, objective, grad_norm, iterations).  Accepted steps
     strictly decrease the objective; the radius shrinks by alpha1 on
     rejected steps and grows by alpha2 on very successful boundary steps.
+    check=False skips the symmetry check of M (for callers that made it).
     """
-    check_symmetric(M)
+    if check:
+        check_symmetric(M)
     R = np.array(initial_point, dtype=float, copy=True)
     if R.shape != (shape.total_rows, shape.rank):
         raise InvalidInputError("initial point shape mismatch")
@@ -192,97 +239,46 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     return R, f, gnorm, iterations
 
 
-def check_rank_deficiency(point, eig_tol: float):
-    """Column-rank test of the factor via its singular values.
+def _certificate(M, shape: ManifoldShape, R, rng):
+    """Dual bound on trace(M Y) over the SDP from the multipliers at R.
 
-    Returns (is_deficient, sigma_min / sigma_max, null_direction), the null
-    direction being the right-singular vector of the smallest singular value
-    when deficient.
+    Returns (lower_bound, theta, v): theta estimates lambda_min(S) and v is
+    its unit eigenvector, or (Gershgorin bound, -G, None) when ARPACK does
+    not converge.
     """
-    R = np.asarray(point, dtype=float)
-    _, svals, vt = np.linalg.svd(R, full_matrices=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    ratio = smin / smax if smax > 0 else 0.0
-    deficient = ratio < eig_tol
-    null_dir = vt[-1] if deficient else None
-    return deficient, ratio, null_dir
-
-
-_LANCZOS_STEPS = 150
-
-
-def _lanczos_min_eig(matvec, v0, num_steps):
-    """Smallest Ritz pair of a symmetric operator from num_steps Lanczos
-    iterations with full reorthogonalization.  v0 must be a unit vector."""
-    dim = v0.shape[0]
-    num_steps = min(num_steps, dim)
-    basis = np.empty((dim, num_steps))
-    alphas = np.empty(num_steps)
-    betas = np.empty(max(num_steps - 1, 0))
-    q = v0
-    basis[:, 0] = q
-    steps = 0
-    for j in range(num_steps):
-        u = matvec(q)
-        alpha = float(q @ u)
-        alphas[j] = alpha
-        steps = j + 1
-        if j == num_steps - 1:
-            break
-        u = u - alpha * q
-        if j > 0:
-            u = u - betas[j - 1] * basis[:, j - 1]
-        # full reorthogonalization against the Krylov basis
-        u = u - basis[:, :j + 1] @ (basis[:, :j + 1].T @ u)
-        beta = float(np.linalg.norm(u))
-        if beta < 1e-12:
-            break
-        betas[j] = beta
-        q = u / beta
-        basis[:, j + 1] = q
-    T = np.diag(alphas[:steps])
-    if steps > 1:
-        T += np.diag(betas[:steps - 1], 1) + np.diag(betas[:steps - 1], -1)
-    w, s = np.linalg.eigh(T)
-    vec = basis[:, :steps] @ s[:, 0]
-    return float(w[0]), vec
-
-
-def _min_hessian_eig(M, shape: ManifoldShape, R, rng):
-    """Smallest Riemannian-Hessian eigenvalue at R, probed by Lanczos on
-    the projected Hessian operator.  Returns (eigenvalue, unit tangent);
-    (value, None) when no usable direction emerges."""
-    m, r = R.shape
-    if shape.tangent_dim == 0:
-        return math.inf, None  # no directions: vacuously second-order critical
-    egrad = 2.0 * (M @ R)
-
-    def matvec(w):
-        W = project_tangent(shape, R, w.reshape(m, r))
-        return _hessian_vec(shape, R, W, M, egrad).ravel()
-
-    v0 = None
-    for _ in range(8):
-        cand = project_tangent(shape, R, rng.standard_normal((m, r))).ravel()
-        nv0 = np.linalg.norm(cand)
-        if nv0 > 0.0:
-            v0 = cand / nv0
-            break
-    if v0 is None:
-        return None, None
-    val, vec = _lanczos_min_eig(matvec, v0, _LANCZOS_STEPS)
-    vec = project_tangent(shape, R, vec.reshape(m, r))
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
-        return val, None
-    return val, vec / nrm
+    ns = shape.n_sphere_rows
+    MR = M @ R
+    lam = np.einsum("ij,ij->i", MR[:ns], R[:ns])
+    blocks = [sp.diags(lam)]
+    if shape.bottom_block_rows:
+        C = MR[ns:] @ R[ns:].T
+        blocks.append(sp.csr_matrix(0.5 * (C + C.T)))
+    multipliers = sp.block_diag(blocks, format="csr")
+    dual_value = float(multipliers.diagonal().sum())
+    S = (sp.csr_matrix(M) - multipliers).tocsr()
+    m = S.shape[0]
+    G = float(abs(S).sum(axis=1).max())
+    if m <= _DENSE_EIG_ROWS:
+        w, vecs = scipy.linalg.eigh(S.toarray(), subset_by_index=[0, 0])
+        theta, v = float(w[0]), vecs[:, 0]
+    else:
+        shift = G or 1.0  # S = 0 would make the shifted matrix 0
+        tol = (_EIGSH_BUDGET_SHARE * _CERTIFY_RTOL * max(1.0, abs(dual_value))
+               / (m * shift))
+        try:
+            mu, vecs = eigsh(shift * sp.identity(m, format="csr") - S, k=1,
+                             which="LA", v0=rng.standard_normal(m),
+                             ncv=min(m, _EIGSH_NCV), tol=tol,
+                             maxiter=_EIGSH_MAXITER)
+        except ArpackNoConvergence:
+            return dual_value - G * m, -G, None
+        theta, v = shift - float(mu[0]), vecs[:, 0]
+    charged = theta - float(np.linalg.norm(S @ v - theta * v))
+    return dual_value + min(0.0, charged) * m, theta, v
 
 
 # relative size of the escape perturbation before backtracking
 _ESCAPE_STEP_FRACTION = 1e-2
-# negative-curvature escapes allowed at one rank before giving up
-_MAX_ESCAPES_PER_RANK = 20
 
 
 def _escape_step(M, shape, R, f, direction):
@@ -301,18 +297,12 @@ def _escape_step(M, shape, R, f, direction):
 def staircase_solve(M, base_shape: ManifoldShape, initial_rank: int,
                     params: SolverParams, warm_start=None, seed_or_rng=0,
                     verbose: bool = False) -> StaircaseResult:
-    """Rank staircase: optimize, verify second-order criticality by Lanczos,
-    certify via rank deficiency, else lift.
+    """Rank staircase: optimize, bound by the dual certificate, else lift.
 
-    At each rank, TNT runs to a first-order critical point; a Lanczos probe
-    of the Riemannian Hessian then either confirms (approximate)
-    second-order criticality or supplies a negative-curvature escape
-    direction, after which TNT resumes at the same rank (this matters for
-    warm starts, which often land exactly on saddles of the updated cost).
-    A full-rank second-order critical point is lifted by a zero column and
-    escaped along the lifted Hessian's descent direction before
-    re-optimizing at rank r + 1; certification reports a rank-deficient
-    second-order critical point.
+    Each rank appends one (rank, TNT iterations, gradient norm) entry to
+    rank_history.  The result carries the last rank's point, objective,
+    lower_bound and min_eig; certified means f - lower_bound is within
+    _CERTIFY_RTOL * max(1, |f|).
     """
     check_symmetric(M)
     rng = _as_rng(seed_or_rng)
@@ -328,59 +318,38 @@ def staircase_solve(M, base_shape: ManifoldShape, initial_rank: int,
     else:
         shape = base_shape.with_rank(initial_rank)
         R = random_point(shape, rng)
+    refined = replace(
+        params,
+        grad_norm_tol=params.grad_norm_tol * _REFINE_GRAD_FACTOR,
+        rel_func_decrease_tol=params.rel_func_decrease_tol * _REFINE_DECREASE_FACTOR,
+    )
 
     result = StaircaseResult(R_opt=R, objective=trace_quadratic(M, R))
     for step in range(params.max_staircase_steps):
-        iters = 0
-        second_order = False
-        eig = None
-        for _ in range(_MAX_ESCAPES_PER_RANK):
-            R, f, gnorm, it = tnt_minimize(M, shape, R, params, verbose=verbose)
-            iters += it
-            eig, direction = _min_hessian_eig(M, shape, R, rng)
-            if eig is None:
-                break  # Lanczos failed outright; cannot certify
-            if eig >= -params.eig_tol or direction is None:
-                second_order = True
-                break
-            R_next = _escape_step(M, shape, R, f, direction)
-            if R_next is None:
-                break  # curvature direction gave no usable decrease
-            R = R_next
-            f = trace_quadratic(M, R)
-        deficient, ratio, _ = check_rank_deficiency(R, params.eig_tol)
+        R, f, gnorm, iters = tnt_minimize(M, shape, R, refined,
+                                          verbose=verbose, check=False)
+        lower, theta, v = _certificate(M, shape, R, rng)
         result.rank_history.append((shape.rank, iters, gnorm))
         result.R_opt, result.objective = R, f
-        result.min_singular_value_ratio = ratio
-        result.escape_min_eig = eig
+        result.lower_bound, result.min_eig = lower, theta
+        result.certified = f - lower <= _CERTIFY_RTOL * max(1.0, abs(f))
         if verbose:
             logger.info(
-                "staircase step=%d rank=%d f=%.12g grad_norm=%.6g sv_ratio=%.3g "
-                "deficient=%d second_order=%d", step, shape.rank, f, gnorm,
-                ratio, deficient, second_order,
+                "staircase step=%d rank=%d f=%.12g grad_norm=%.6g "
+                "lower_bound=%.12g min_eig=%.6g certified=%d", step,
+                shape.rank, f, gnorm, lower, theta, result.certified,
             )
-        if not second_order:
+        if (result.certified or v is None or theta >= -params.eig_tol
+                or step == params.max_staircase_steps - 1):
             break
-        if deficient:
-            result.certified = True
-            break
-        if step == params.max_staircase_steps - 1:
-            break
-        # lift: zero column keeps R R^T (and the objective) unchanged
+        # lift: a zero column keeps R R^T (and the objective) unchanged.  v
+        # in the new column is orthogonal to every row of the lifted point,
+        # so it is already a unit tangent vector, of curvature 2 theta < 0
         shape = shape.with_rank(shape.rank + 1)
         R_lift = np.hstack([R, np.zeros((R.shape[0], 1))])
-        eig, direction = _min_hessian_eig(M, shape, R_lift, rng)
-        result.escape_min_eig = eig
-        if eig is None:
-            break  # Lanczos failed; cannot certify
-        if direction is None or eig >= -params.eig_tol:
-            # the lifted factor is rank deficient by construction and
-            # second-order critical to tolerance, which is the
-            # global-optimality condition
-            result.certified = True
+        direction = np.zeros_like(R_lift)
+        direction[:, -1] = v
+        R = _escape_step(M, shape, R_lift, f, direction)
+        if R is None:
             break
-        R_next = _escape_step(M, shape, R_lift, f, direction)
-        if R_next is None:
-            break
-        R = R_next
     return result

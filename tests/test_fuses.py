@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mrfsdp import (
+    BinaryTerm,
     MrfInstance,
     UnaryTerm,
     brute_force,
@@ -54,7 +55,6 @@ def test_frustrated_complete_graph_bounds():
     # N > K, the relaxation gap is genuinely large, and the certified lower
     # bound must still hold
     import itertools
-    from mrfsdp import BinaryTerm
 
     edges = tuple(BinaryTerm(i, j, -0.5)
                   for i, j in itertools.combinations(range(5), 2))
@@ -133,6 +133,44 @@ def test_result_invariants():
     res = fuses_solve(inst, seed=6)
     assert res.certified
     assert res.f_rounded >= res.f_relaxed - 1e-9
-    assert res.subopt_bound == pytest.approx(res.f_rounded - res.f_relaxed)
-    assert 0.0 <= res.min_singular_value_ratio <= 1.0
+    assert res.subopt_bound == res.f_rounded - res.lower_bound
+    assert res.lower_bound <= res.f_relaxed
+    assert np.isfinite(res.min_eig)
     assert res.timings["total_s"] >= 0.0
+
+
+def _scaled(inst, c):
+    return MrfInstance(
+        inst.num_nodes, inst.num_labels,
+        tuple(UnaryTerm(t.node, t.label, c * t.weight) for t in inst.unary),
+        tuple(BinaryTerm(t.i, t.j, c * t.weight) for t in inst.binary),
+    )
+
+
+def _assert_bound_holds(inst, res):
+    # the claimed lower bound must hold certified or not
+    f_opt = brute_force(inst).f_opt
+    assert res.f_rounded - res.subopt_bound <= f_opt + 1e-9 * (1.0 + abs(f_opt))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_scaled_weights_keep_a_true_bound(scale):
+    # at scale 1e-3 this instance once started below the absolute gradient
+    # tolerance and was certified with f_relaxed > f_opt
+    inst = _scaled(generate_grid_instance(3, 3, 3, unary_noise=0.3, seed=0),
+                   scale)
+    res = fuses_solve(inst, seed=0)
+    assert res.certified
+    assert res.f_relaxed <= brute_force(inst).f_opt
+    _assert_bound_holds(inst, res)
+
+
+def test_mixed_sign_bounds_hold_at_any_scale():
+    from conftest import random_instance
+
+    rng = np.random.default_rng(7)
+    for t in range(6):
+        base = random_instance(rng, max_nodes=4, max_labels=3, min_nodes=2)
+        for scale in (1e-3, 1.0, 1e3):
+            inst = _scaled(base, scale)
+            _assert_bound_holds(inst, fuses_solve(inst, seed=t))

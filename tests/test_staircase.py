@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mrfsdp.staircase as staircase
 from mrfsdp import (
     InvalidInputError,
     ManifoldShape,
@@ -11,7 +12,6 @@ from mrfsdp import (
     NumericalFailureError,
     SolverParams,
     UnaryTerm,
-    check_rank_deficiency,
     encode_zo,
     fuses_round,
     generate_grid_instance,
@@ -107,30 +107,6 @@ def test_tnt_nonfinite_objective_raises(rng):
     assert err.value.last_point is not None
 
 
-def test_rank_deficiency_zero_column():
-    R = np.hstack([np.ones((4, 1)), np.zeros((4, 1))])
-    deficient, ratio, null_dir = check_rank_deficiency(R, 1e-2)
-    assert deficient
-    assert ratio == 0.0
-    assert null_dir is not None
-    assert np.max(np.abs(R @ null_dir)) < 1e-12
-
-
-def test_rank_deficiency_rank1_full():
-    R = np.array([[1.0], [-1.0], [1.0]])
-    deficient, ratio, null_dir = check_rank_deficiency(R, 1e-2)
-    assert not deficient
-    assert ratio == 1.0
-    assert null_dir is None
-
-
-def test_rank_deficiency_constructed_product(rng):
-    R = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 4))
-    deficient, ratio, _ = check_rank_deficiency(R, 1e-2)
-    assert deficient
-    assert ratio < 1e-12
-
-
 def test_staircase_unary_only_certifies_first_rank():
     unary = tuple(UnaryTerm(i, (i * 2) % 3, 1.0 + 0.1 * i) for i in range(4))
     inst = MrfInstance(4, 3, unary)
@@ -161,8 +137,9 @@ def test_staircase_escape_two_node_coupling():
 
 
 def test_staircase_certifies_optimal_rank1_start_via_lift_probe():
-    # seed 3 starts at the optimum [1, -1]; the rank-1 factor is full rank,
-    # and certification comes from the curvature probe of the lifted point
+    # seed 3 starts at the optimum [1, -1]; its multipliers give a
+    # certificate matrix S = [[1, 1], [1, 1]] >= 0, so rank 1 certifies
+    # without a lift
     M = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     shape = ManifoldShape(2, 0, 1)
     res = staircase_solve(M, shape, initial_rank=1, params=SolverParams(),
@@ -187,3 +164,49 @@ def test_staircase_rejects_bad_initial_rank():
     with pytest.raises(InvalidInputError):
         staircase_solve(M, ManifoldShape(3, 2, 2), initial_rank=1,
                         params=SolverParams())
+
+
+def _sparse_instance_cost():
+    # 16x20 grid, K=3: 323 rows, above the dense eigen-solve cut-off
+    inst = generate_grid_instance(16, 20, 3, unary_noise=0.3, seed=3)
+    enc = encode_zo(inst)
+    return enc.Q, ManifoldShape(inst.num_nodes, 3, 4)
+
+
+def test_certificate_sparse_path_is_seeded():
+    M, shape = _sparse_instance_cost()
+    assert shape.total_rows > staircase._DENSE_EIG_ROWS
+    a = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    b = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    assert a.certified
+    assert a.lower_bound <= a.objective
+    assert (a.lower_bound, a.min_eig) == (b.lower_bound, b.min_eig)
+
+
+def test_certificate_falls_back_to_gershgorin(monkeypatch):
+    M, shape = _sparse_instance_cost()
+    good = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    # one restart of a 3-vector Krylov basis cannot converge
+    monkeypatch.setattr(staircase, "_EIGSH_MAXITER", 1)
+    monkeypatch.setattr(staircase, "_EIGSH_NCV", 3)
+    res = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    assert not res.certified
+    assert len(res.rank_history) == 1
+    # theta := -G, the Gershgorin bound max_i sum_j |S_ij| on |lambda_min(S)|
+    assert res.min_eig < -1.0
+    assert res.lower_bound == pytest.approx(
+        res.objective + res.min_eig * shape.total_rows)
+    assert res.lower_bound < good.lower_bound
+
+
+def test_symmetry_checked_once_per_staircase(monkeypatch):
+    calls = []
+    check = staircase.check_symmetric
+    monkeypatch.setattr(staircase, "check_symmetric",
+                        lambda M: calls.append(1) or check(M))
+    M = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    res = staircase_solve(M, ManifoldShape(2, 0, 1), initial_rank=1,
+                          params=SolverParams(), seed_or_rng=1)
+    assert len(res.rank_history) == 2 and len(calls) == 1
+    tnt_minimize(M, ManifoldShape(2, 0, 2), res.R_opt, SolverParams())
+    assert len(calls) == 2
