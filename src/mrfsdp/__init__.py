@@ -56,11 +56,9 @@ from .manifold import (
 )
 from .metrics import MetricsReport, compute_metrics, mann_kendall_positive_p
 from .mrf import (
-    BinaryTerm,
     ConstantWeights,
     KernelWeights,
     MrfInstance,
-    UnaryTerm,
     UniformWeights,
     binary_weight_from_features,
     energy,

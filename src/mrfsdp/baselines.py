@@ -22,9 +22,10 @@ class ExactResult:
 
 def _decode_states(start: int, stop: int, num_nodes: int, num_labels: int):
     """Rows are labelings for state indices [start, stop), most significant
-    digit = node 0, so enumeration order is lexicographic."""
+    digit = node 0, so enumeration order is lexicographic.  Labels are held
+    in the smallest dtype that fits them, which keeps gathers cheap."""
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((idx.size, num_nodes), dtype=np.int64)
+    out = np.empty((idx.size, num_nodes), dtype=np.min_scalar_type(num_labels - 1))
     for col in range(num_nodes - 1, -1, -1):
         out[:, col] = idx % num_labels
         idx //= num_labels
@@ -54,56 +55,47 @@ def brute_force(mrf: MrfInstance, budget: int = DEFAULT_BUDGET) -> ExactResult:
     high_n = n - low_n
     low_states = _decode_states(0, k ** low_n, low_n, k)
 
-    low_energy = np.zeros(k ** low_n)
-    high_unary, cross_edges, high_edges = [], [], []
-    for t in mrf.unary:
-        if t.node >= high_n:
-            low_energy += t.weight * (low_states[:, t.node - high_n] != t.label)
-        else:
-            high_unary.append(t)
-    for t in mrf.binary:
-        if t.i >= high_n and t.j >= high_n:
-            low_energy += t.weight * (
-                low_states[:, t.i - high_n] != low_states[:, t.j - high_n]
-            )
-        elif t.i < high_n and t.j < high_n:
-            high_edges.append(t)
-        else:
-            cross_edges.append(t)  # canonical order puts t.i in the prefix
+    un, ul, uw = mrf.unary_node, mrf.unary_label, mrf.unary_weight
+    ei, ej, ew = mrf.edge_i, mrf.edge_j, mrf.edge_weight
+    low_u, high_u = un >= high_n, un < high_n
+    # canonical order i < j puts a crossing edge's i in the prefix
+    low_e, high_e, cross_e = ei >= high_n, ej < high_n, (ei < high_n) & (ej >= high_n)
+    low_energy = (
+        np.einsum("su,u->s", low_states[:, un[low_u] - high_n] != ul[low_u],
+                  uw[low_u])
+        + np.einsum("se,e->s", low_states[:, ei[low_e] - high_n]
+                    != low_states[:, ej[low_e] - high_n], ew[low_e]))
+    cross_low = low_states[:, ej[cross_e] - high_n]
 
     best_f = np.inf
     best_x = None
     for h_idx in range(k ** high_n):
-        h = _decode_states(h_idx, h_idx + 1, high_n, k)[0] if high_n else \
-            np.zeros(0, dtype=np.int64)
-        vals = low_energy.copy()
-        const = 0.0
-        for t in high_unary:
-            const += t.weight * (h[t.node] != t.label)
-        for t in high_edges:
-            const += t.weight * (h[t.i] != h[t.j])
-        for t in cross_edges:
-            vals += t.weight * (low_states[:, t.j - high_n] != h[t.i])
+        h = _decode_states(h_idx, h_idx + 1, high_n, k)[0]
+        const = ((h[un[high_u]] != ul[high_u]) @ uw[high_u]
+                 + (h[ei[high_e]] != h[ej[high_e]]) @ ew[high_e])
+        vals = low_energy + np.einsum("se,e->s", cross_low != h[ei[cross_e]],
+                                      ew[cross_e])
         pos = int(np.argmin(vals))
         cand = vals[pos] + const
         if cand < best_f:
             best_f = float(cand)
-            best_x = np.concatenate([h, low_states[pos]])
+            best_x = np.concatenate([h, low_states[pos]]).astype(np.int64)
     return ExactResult(labeling=best_x, f_opt=best_f, states_enumerated=total)
 
 
 def _local_tables(mrf: MrfInstance):
-    """Per-node unary cost rows and adjacency lists for coordinate descent."""
+    """Per-node unary cost rows and CSR adjacency for coordinate descent:
+    node i's neighbours are nbr[ptr[i]:ptr[i + 1]], with weights nbr_w."""
     n, k = mrf.num_nodes, mrf.num_labels
     unary_cost = np.zeros((n, k))
-    for t in mrf.unary:
-        unary_cost[t.node] += t.weight
-        unary_cost[t.node, t.label] -= t.weight
-    adjacency = [[] for _ in range(n)]
-    for t in mrf.binary:
-        adjacency[t.i].append((t.j, t.weight))
-        adjacency[t.j].append((t.i, t.weight))
-    return unary_cost, adjacency
+    violated = np.arange(k) != mrf.unary_label[:, None]
+    np.add.at(unary_cost, mrf.unary_node, mrf.unary_weight[:, None] * violated)
+    ends = np.concatenate([mrf.edge_i, mrf.edge_j])
+    order = np.argsort(ends, kind="stable")
+    nbr = np.concatenate([mrf.edge_j, mrf.edge_i])[order]
+    nbr_w = np.concatenate([mrf.edge_weight, mrf.edge_weight])[order]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+    return unary_cost, nbr, nbr_w, ptr
 
 
 def icm(mrf: MrfInstance, init, max_sweeps: int = 100):
@@ -112,14 +104,15 @@ def icm(mrf: MrfInstance, init, max_sweeps: int = 100):
     (labeling, energy); ties keep the current label, so a local optimum is
     returned unchanged."""
     x = validate_labeling(mrf, init).copy()
-    unary_cost, adjacency = _local_tables(mrf)
+    unary_cost, nbr, nbr_w, ptr = _local_tables(mrf)
+    k = mrf.num_labels
     for _ in range(max_sweeps):
         changed = False
         for i in range(mrf.num_nodes):
-            costs = unary_cost[i].copy()
-            for j, w in adjacency[i]:
-                costs += w
-                costs[x[j]] -= w
+            nb = slice(ptr[i], ptr[i + 1])
+            w = nbr_w[nb]
+            # a neighbour j disagrees with label l unless x[j] == l
+            costs = unary_cost[i] + (w.sum() - np.bincount(x[nbr[nb]], w, k))
             best = int(np.argmin(costs))
             if costs[best] < costs[x[i]]:
                 x[i] = best

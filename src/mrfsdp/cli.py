@@ -1,8 +1,7 @@
 """Command-line surface: gen, solve, eval, bench, export-matrix.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 size
-refusal.  The MRFSDP_MAX_THREADS environment variable caps the number of
-worker threads the bench command uses for independent cells (default 1).
+refusal.
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ import argparse
 import json
 import logging
 import math
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -44,13 +41,6 @@ from .mrf import (
 from .staircase import SolverParams
 
 METHODS = ("fuses", "dars", "icm", "exact")
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MRFSDP_MAX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,8 +90,8 @@ def _dual_params_from_args(args) -> DualParams:
     )
 
 
-def _build_config(method: str, args) -> dict:
-    config = {"method": method, "seed": args.seed}
+def _build_config(method: str, args, seed: int) -> dict:
+    config = {"method": method, "seed": seed}
     if method in ("fuses", "dars"):
         config["solver"] = asdict(_solver_params_from_args(args, method))
     if method == "fuses":
@@ -242,7 +232,7 @@ def _cmd_gen(args) -> int:
     if args.truth_out:
         formats.save_labeling(truth, args.truth_out)
     print(f"num_nodes={inst.num_nodes} num_labels={inst.num_labels} "
-          f"num_edges={len(inst.binary)} out={args.out}")
+          f"num_edges={inst.edge_i.size} out={args.out}")
     return 0
 
 
@@ -250,7 +240,7 @@ def _cmd_solve(args) -> int:
     mrf = formats.load_instance(args.instance)
     if args.method not in METHODS:
         raise InvalidInputError(f"unknown method {args.method!r}")
-    config = _build_config(args.method, args)
+    config = _build_config(args.method, args, args.seed)
     try:
         payload = run_from_config(mrf, config, verbose=args.verbose)
     except (NumericalFailureError, SizeRefusalError) as exc:
@@ -355,18 +345,7 @@ def _bench_cell(size, k, method, args):
         rec = {"seed": seed, "error": None}
         try:
             t0 = time.perf_counter()
-            config = {"method": method, "seed": seed}
-            if method in ("fuses", "dars"):
-                config["solver"] = asdict(_solver_params_from_args(args, method))
-            if method == "fuses":
-                config["init"] = args.init
-            if method == "dars":
-                config["dual"] = asdict(_dual_params_from_args(args))
-            if method == "icm":
-                config["icm"] = {"init": "unary", "max_sweeps": 100}
-            if method == "exact":
-                config["budget"] = args.budget
-            payload = run_from_config(inst, config)
+            payload = run_from_config(inst, _build_config(method, args, seed))
             rec["time_ms"] = 1000.0 * (time.perf_counter() - t0)
             obj = payload["objectives"]
             rec["f_rounded"] = obj["f_rounded"]
@@ -420,14 +399,7 @@ def _cmd_bench(args) -> int:
             raise InvalidInputError(f"unknown method {m!r}")
     args.with_exact = "exact" in methods or args.gaps
     cells = [(size, k, m) for size in sizes for k in labels for m in methods]
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_records = list(pool.map(
-                lambda cell: _bench_cell(cell[0], cell[1], cell[2], args),
-                cells))
-    else:
-        all_records = [_bench_cell(size, k, m, args) for size, k, m in cells]
+    all_records = [_bench_cell(size, k, m, args) for size, k, m in cells]
     lines = ["\t".join(_BENCH_COLUMNS)]
     for (size, k, m), records in zip(cells, all_records):
         ok = [r for r in records if r["error"] is None]
@@ -547,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compute exact gaps even without the exact method")
     p_bench.add_argument("--out", default=None)
     _add_solver_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, icm_init="unary", icm_max_sweeps=100)
 
     p_exp = sub.add_parser("export-matrix",
                            help="dump an encoding in coordinate triplet form")

@@ -54,26 +54,19 @@ class PmEncoding:
 def encode_pm(mrf: MrfInstance) -> PmEncoding:
     n, k = mrf.num_nodes, mrf.num_labels
     dim = n * k + 1
-    last = dim - 1
-    rows, cols, vals = [], [], []
-    offset = 0.0
-    for t in mrf.unary:
-        p = t.node * k + t.label
-        rows += [p, last]
-        cols += [last, p]
-        vals += [-t.weight / 4.0, -t.weight / 4.0]
-        offset += t.weight / 2.0
-    for t in mrf.binary:
-        for c in range(k):
-            p, q = t.i * k + c, t.j * k + c
-            rows += [p, q]
-            cols += [q, p]
-            vals += [-t.weight / 8.0, -t.weight / 8.0]
-        offset += t.weight * k / 4.0
+    last = np.full(mrf.unary_node.size, dim - 1)
+    p = mrf.unary_node * k + mrf.unary_label
+    # edge (i, j) couples entry i*K + c with j*K + c for every label c
+    pi = (mrf.edge_i[:, None] * k + np.arange(k)).ravel()
+    pj = (mrf.edge_j[:, None] * k + np.arange(k)).ravel()
+    vals = np.concatenate([mrf.unary_weight / -4.0,
+                           np.repeat(mrf.edge_weight / -8.0, k)])
     L = sp.coo_matrix(
-        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        (np.concatenate([vals, vals]),
+         (np.concatenate([p, pi, last, pj]), np.concatenate([last, pj, p, pi]))),
         shape=(dim, dim),
     ).tocsr()
+    offset = float(mrf.unary_weight.sum() / 2.0 + mrf.edge_weight.sum() * k / 4.0)
     return PmEncoding(num_nodes=n, num_labels=k, L=L, offset=offset)
 
 

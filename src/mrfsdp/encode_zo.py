@@ -57,23 +57,16 @@ class ZoEncoding:
 def encode_zo(mrf: MrfInstance) -> ZoEncoding:
     n, k = mrf.num_nodes, mrf.num_labels
     dim = n + k
-    rows, cols, vals = [], [], []
-    offset = 0.0
-    for t in mrf.unary:
-        # Q top-right holds G/2
-        rows += [t.node, n + t.label]
-        cols += [n + t.label, t.node]
-        vals += [-t.weight / 2.0, -t.weight / 2.0]
-        offset += t.weight
-    for t in mrf.binary:
-        rows += [t.i, t.j]
-        cols += [t.j, t.i]
-        vals += [-t.weight / 2.0, -t.weight / 2.0]
-        offset += t.weight
+    un, ul = mrf.unary_node, n + mrf.unary_label
+    ei, ej = mrf.edge_i, mrf.edge_j
+    # Q top-right holds G/2; every entry is stored in both orientations
+    half = np.concatenate([mrf.unary_weight, mrf.edge_weight]) / -2.0
     Q = sp.coo_matrix(
-        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        (np.concatenate([half, half]),
+         (np.concatenate([un, ei, ul, ej]), np.concatenate([ul, ej, un, ei]))),
         shape=(dim, dim),
     ).tocsr()
+    offset = float(mrf.unary_weight.sum() + mrf.edge_weight.sum())
     return ZoEncoding(num_nodes=n, num_labels=k, Q=Q, offset=offset)
 
 

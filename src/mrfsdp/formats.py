@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from .errors import InvalidInputError
-from .mrf import BinaryTerm, MrfInstance, UnaryTerm
+from .mrf import MrfInstance
 
 
 def _canonical_dumps(doc) -> str:
@@ -68,17 +68,26 @@ def _as_number(value, where):
 
 
 def instance_to_doc(mrf: MrfInstance) -> dict:
+    unary = zip(mrf.unary_node.tolist(), mrf.unary_label.tolist(),
+                mrf.unary_weight.tolist())
+    binary = zip(mrf.edge_i.tolist(), mrf.edge_j.tolist(),
+                 mrf.edge_weight.tolist())
     return {
         "num_nodes": mrf.num_nodes,
         "num_labels": mrf.num_labels,
-        "unary": [
-            {"node": t.node, "label": t.label, "weight": t.weight}
-            for t in mrf.unary
-        ],
-        "binary": [
-            {"i": t.i, "j": t.j, "weight": t.weight} for t in mrf.binary
-        ],
+        "unary": [{"node": n, "label": l, "weight": w} for n, l, w in unary],
+        "binary": [{"i": i, "j": j, "weight": w} for i, j, w in binary],
     }
+
+
+def _entries(items, keys, parse, where):
+    """Columns of a list of term objects, each checked for exactly `keys`."""
+    columns = [[] for _ in keys]
+    for e in items:
+        _require_keys(e, keys, where=where)
+        for column, key, convert in zip(columns, keys, parse):
+            column.append(convert(e[key], key))
+    return columns
 
 
 def instance_from_doc(doc) -> MrfInstance:
@@ -86,24 +95,13 @@ def instance_from_doc(doc) -> MrfInstance:
                   where="instance")
     if not isinstance(doc["unary"], list) or not isinstance(doc["binary"], list):
         raise InvalidInputError("unary/binary must be arrays")
-    unary = []
-    for e in doc["unary"]:
-        _require_keys(e, ["node", "label", "weight"], where="unary term")
-        unary.append(UnaryTerm(_as_int(e["node"], "node"),
-                               _as_int(e["label"], "label"),
-                               _as_number(e["weight"], "weight")))
-    binary = []
-    for e in doc["binary"]:
-        _require_keys(e, ["i", "j", "weight"], where="binary term")
-        binary.append(BinaryTerm(_as_int(e["i"], "i"),
-                                 _as_int(e["j"], "j"),
-                                 _as_number(e["weight"], "weight")))
-    return MrfInstance(
-        num_nodes=_as_int(doc["num_nodes"], "num_nodes"),
-        num_labels=_as_int(doc["num_labels"], "num_labels"),
-        unary=tuple(unary),
-        binary=tuple(binary),
-    )
+    unary = _entries(doc["unary"], ("node", "label", "weight"),
+                     (_as_int, _as_int, _as_number), "unary term")
+    binary = _entries(doc["binary"], ("i", "j", "weight"),
+                      (_as_int, _as_int, _as_number), "binary term")
+    return MrfInstance(_as_int(doc["num_nodes"], "num_nodes"),
+                       _as_int(doc["num_labels"], "num_labels"),
+                       *unary, *binary)
 
 
 def dumps_instance(mrf: MrfInstance) -> str:

@@ -3,7 +3,28 @@ import itertools
 import numpy as np
 import pytest
 
-from mrfsdp import BinaryTerm, MrfInstance, UnaryTerm
+from mrfsdp import MrfInstance
+
+
+def make_instance(num_nodes, num_labels, unary=(), binary=()):
+    """Instance from (node, label, weight) unary and (i, j, weight) edge
+    triples, in the given storage order."""
+    def columns(triples):
+        a, b, w = zip(*triples) if triples else ((), (), ())
+        return (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                np.array(w, dtype=float))
+
+    return MrfInstance(num_nodes, num_labels, *columns(unary), *columns(binary))
+
+
+def unary_triples(mrf):
+    return list(zip(mrf.unary_node.tolist(), mrf.unary_label.tolist(),
+                    mrf.unary_weight.tolist()))
+
+
+def edge_triples(mrf):
+    return list(zip(mrf.edge_i.tolist(), mrf.edge_j.tolist(),
+                    mrf.edge_weight.tolist()))
 
 
 def random_instance(rng, max_nodes=5, max_labels=4, min_nodes=1):
@@ -17,12 +38,12 @@ def random_instance(rng, max_nodes=5, max_labels=4, min_nodes=1):
         if (node, lab) in seen:
             continue
         seen.add((node, lab))
-        unary.append(UnaryTerm(node, lab, float(rng.normal())))
+        unary.append((node, lab, float(rng.normal())))
     pairs = list(itertools.combinations(range(n), 2))
     rng.shuffle(pairs)
     m = int(rng.integers(0, len(pairs) + 1)) if pairs else 0
-    binary = [BinaryTerm(i, j, float(rng.normal())) for i, j in pairs[:m]]
-    return MrfInstance(n, k, tuple(unary), tuple(binary))
+    binary = [(i, j, float(rng.normal())) for i, j in pairs[:m]]
+    return make_instance(n, k, unary, binary)
 
 
 def all_labelings(n, k):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from mrfsdp import (
-    BinaryTerm,
     MrfInstance,
     SizeRefusalError,
-    UnaryTerm,
     brute_force,
     energy,
     fuses_solve,
@@ -16,11 +14,11 @@ from mrfsdp import (
     unary_argmax_labeling,
 )
 
-from conftest import random_instance
+from conftest import make_instance, random_instance
 
 
 def test_single_node_single_unary():
-    inst = MrfInstance(1, 3, (UnaryTerm(0, 2, 1.0),))
+    inst = make_instance(1, 3, [(0, 2, 1.0)])
     res = brute_force(inst)
     assert np.array_equal(res.labeling, [2])
     assert res.f_opt == 0.0
@@ -37,12 +35,10 @@ def test_empty_instance_lexicographic_tie_break():
 def test_hand_enumerated_2x2_grid():
     # attractive couplings with one contrarian unary term; the oracle here is
     # a literal scan of all 16 states
-    inst = MrfInstance(
+    inst = make_instance(
         4, 2,
-        (UnaryTerm(0, 0, 1.0), UnaryTerm(1, 0, 1.0), UnaryTerm(2, 0, 1.0),
-         UnaryTerm(3, 1, 0.5)),
-        (BinaryTerm(0, 1, 2.0), BinaryTerm(0, 2, 2.0), BinaryTerm(1, 3, 2.0),
-         BinaryTerm(2, 3, 2.0)),
+        [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (3, 1, 0.5)],
+        [(0, 1, 2.0), (0, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)],
     )
     best, best_x = None, None
     for x in itertools.product(range(2), repeat=4):
@@ -91,10 +87,10 @@ def test_icm_fixed_point_returned_unchanged():
 
 
 def test_icm_unary_only_one_sweep():
-    unary = tuple(UnaryTerm(i, (i + 1) % 4, 1.0) for i in range(6))
-    inst = MrfInstance(6, 4, unary)
+    unary = [(i, (i + 1) % 4, 1.0) for i in range(6)]
+    inst = make_instance(6, 4, unary)
     out, f = icm(inst, np.zeros(6, dtype=int), max_sweeps=1)
-    assert np.array_equal(out, [t.label for t in unary])
+    assert np.array_equal(out, [lab for _, lab, _ in unary])
     assert f == 0.0
 
 
@@ -105,6 +101,33 @@ def test_icm_monotone_on_random_instances(rng):
         out, f = icm(mrf, init)
         assert f <= energy(mrf, init) + 1e-12
         assert f == pytest.approx(energy(mrf, out))
+
+
+def icm_reference(mrf, init, max_sweeps=100):
+    """Independent oracle: each node in index order takes the label of least
+    energy with every other node fixed, moving only on strict improvement."""
+    x = np.array(init)
+    for _ in range(max_sweeps):
+        changed = False
+        for i in range(mrf.num_nodes):
+            trials = np.repeat(x[None, :], mrf.num_labels, axis=0)
+            trials[:, i] = np.arange(mrf.num_labels)
+            costs = [energy(mrf, t) for t in trials]
+            best = int(np.argmin(costs))
+            if costs[best] < costs[x[i]] - 1e-12:
+                x[i] = best
+                changed = True
+        if not changed:
+            break
+    return x
+
+
+def test_icm_matches_sequential_reference(rng):
+    for _ in range(40):
+        mrf = random_instance(rng, max_nodes=6, max_labels=4, min_nodes=2)
+        init = rng.integers(0, mrf.num_labels, size=mrf.num_nodes)
+        out, _ = icm(mrf, init)
+        assert np.array_equal(out, icm_reference(mrf, init))
 
 
 def test_icm_output_is_one_flip_local_optimum(rng):

@@ -36,7 +36,7 @@ def test_gen_4x4_edge_count(tmp_path, capsys):
     assert "num_edges=24" in out
     inst = load_instance(str(path))
     assert inst.num_nodes == 16
-    assert len(inst.binary) == 24
+    assert inst.edge_i.size == 24
 
 
 def test_gen_1x1_no_edges(tmp_path, capsys):
@@ -60,7 +60,7 @@ def test_gen_truth_out(tmp_path):
             "--seed", 2, "--out", inst_path, "--truth-out", truth_path)
     truth = load_labeling(str(truth_path))
     inst = load_instance(str(inst_path))
-    measured = {t.node: t.label for t in inst.unary}
+    measured = dict(zip(inst.unary_node.tolist(), inst.unary_label.tolist()))
     assert all(measured[i] == truth[i] for i in range(9))
 
 

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from mrfsdp import (
-    BinaryTerm,
     DualParams,
     MrfInstance,
     SolverParams,
-    UnaryTerm,
     brute_force,
     dars_certificate,
     dars_round,
@@ -20,16 +18,16 @@ from mrfsdp import (
 from mrfsdp.dars import _assemble_l_lambda, _constraint_template
 from mrfsdp.manifold import ManifoldShape
 
-from conftest import random_instance
+from conftest import make_instance, random_instance
 
 # Standard-relaxation optimum (plus offset) for TEST_INSTANCE below, computed
 # offline by scripts/standard_sdp_oracle.py (Douglas-Rachford splitting with
 # exact projections; split/PSD residuals < 1e-13).
 ORACLE_RELAXED_OPTIMUM = 0.16926554938286253
 
-TEST_INSTANCE = MrfInstance(
+TEST_INSTANCE = make_instance(
     9, 2,
-    tuple(UnaryTerm(n, l, w) for n, l, w in [
+    [
         (0, 1, 0.7837243571439554),
         (1, 1, 0.3405244964820472),
         (2, 1, 0.8905431378799094),
@@ -39,8 +37,8 @@ TEST_INSTANCE = MrfInstance(
         (6, 0, 0.2226557369163704),
         (7, 1, 0.2994266211996512),
         (8, 0, 0.7364995317549043),
-    ]),
-    tuple(BinaryTerm(i, j, w) for i, j, w in [
+    ],
+    [
         (0, 1, 0.040766888046058755),
         (0, 3, 0.036801074002124075),
         (1, 2, 0.050760513858047404),
@@ -53,7 +51,7 @@ TEST_INSTANCE = MrfInstance(
         (5, 8, 0.0393458734820044),
         (6, 7, 0.043236481581904775),
         (7, 8, 0.028026989717838287),
-    ]),
+    ],
 )
 
 
@@ -65,7 +63,7 @@ def test_dual_defaults_match_reference_table():
 
 
 def test_single_node_constraint_residual():
-    inst = MrfInstance(1, 4, (UnaryTerm(0, 2, 1.0),))
+    inst = make_instance(1, 4, [(0, 2, 1.0)])
     res = dars_solve(inst, seed=0)
     assert res.dual_converged
     assert res.constraint_residual_max < DualParams().grad_tol
@@ -146,9 +144,9 @@ def test_relaxed_value_matches_independent_sdp_oracle():
 # from scripts/standard_sdp_oracle.py (residuals < 1e-13).
 ORACLE_RELAXED_OPTIMUM_K3 = 0.47025700904284307
 
-TEST_INSTANCE_K3 = MrfInstance(
+TEST_INSTANCE_K3 = make_instance(
     9, 3,
-    tuple(UnaryTerm(n, l, w) for n, l, w in [
+    [
         (0, 0, 0.515928517820536),
         (1, 1, 0.4223961701159212),
         (2, 1, 0.964535756223887),
@@ -158,8 +156,8 @@ TEST_INSTANCE_K3 = MrfInstance(
         (6, 1, 0.3109820406406061),
         (7, 2, 0.5077932094924176),
         (8, 1, 0.8155320430629716),
-    ]),
-    tuple(BinaryTerm(i, j, w) for i, j, w in [
+    ],
+    [
         (0, 1, 0.03174075211823048),
         (0, 3, 0.03947729098345565),
         (1, 2, 0.04360901061791916),
@@ -172,7 +170,7 @@ TEST_INSTANCE_K3 = MrfInstance(
         (5, 8, 0.056666466389514406),
         (6, 7, 0.05429725226212921),
         (7, 8, 0.047829272676904316),
-    ]),
+    ],
 )
 
 
@@ -271,7 +269,7 @@ def test_mixed_sign_instances_report_honestly(rng):
     # dual ascent has no convergence guarantee on adversarial instances;
     # non-convergence must be flagged, and certified converged runs must
     # still carry valid bounds
-    from conftest import random_instance
+    from conftest import make_instance, random_instance
 
     dual = DualParams(max_iterations=200)
     for t in range(8):
@@ -289,7 +287,7 @@ def test_mixed_sign_instances_report_honestly(rng):
 
 
 def test_initial_rank_two():
-    inst = MrfInstance(1, 3, (UnaryTerm(0, 1, 1.0),))
+    inst = make_instance(1, 3, [(0, 1, 1.0)])
     res = dars_solve(inst, seed=0)
     assert res.rank_history[0][0] == 2
 

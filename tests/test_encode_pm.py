@@ -7,7 +7,6 @@ from mrfsdp import (
     InfeasibleAssignmentError,
     InvalidInputError,
     MrfInstance,
-    UnaryTerm,
     constraint_value,
     encode_pm,
     energy,
@@ -15,7 +14,7 @@ from mrfsdp import (
     pm_to_labeling,
 )
 
-from conftest import all_labelings, random_instance
+from conftest import all_labelings, make_instance, random_instance
 
 
 def dense_constraint_matrix(i, num_nodes, num_labels):
@@ -37,7 +36,7 @@ def test_empty_instance():
 def test_unary_coefficient_value():
     # a unary term of weight 2 at (node 0, label 1) lands as -1/2 in the
     # homogenizing column
-    enc = encode_pm(MrfInstance(1, 3, (UnaryTerm(0, 1, 2.0),)))
+    enc = encode_pm(make_instance(1, 3, [(0, 1, 2.0)]))
     L = enc.L.toarray()
     assert L[1, enc.dim - 1] == pytest.approx(-0.5)
     assert L[enc.dim - 1, 1] == pytest.approx(-0.5)
@@ -133,7 +132,7 @@ def test_nnz_audit(rng):
     for _ in range(5):
         mrf = random_instance(rng, min_nodes=2)
         enc = encode_pm(mrf)
-        bound = 2 * mrf.num_labels ** 2 * len(mrf.binary) + 2 * len(mrf.unary)
+        bound = 2 * mrf.num_labels ** 2 * mrf.edge_i.size + 2 * mrf.unary_node.size
         assert enc.L.nnz <= bound
 
 

@@ -7,7 +7,6 @@ from mrfsdp import (
     InfeasibleAssignmentError,
     InvalidInputError,
     MrfInstance,
-    UnaryTerm,
     encode_zo,
     energy,
     labeling_to_zo,
@@ -16,7 +15,7 @@ from mrfsdp import (
     zo_to_labeling,
 )
 
-from conftest import all_labelings, random_instance
+from conftest import all_labelings, make_instance, random_instance
 
 
 def test_empty_instance():
@@ -28,7 +27,7 @@ def test_empty_instance():
 
 
 def test_unary_coefficient_value():
-    enc = encode_zo(MrfInstance(1, 3, (UnaryTerm(0, 1, 2.0),)))
+    enc = encode_zo(make_instance(1, 3, [(0, 1, 2.0)]))
     G = enc.unary_block().toarray()
     assert G[0, 1] == pytest.approx(-2.0)
     # Q carries G/2 in the top-right block

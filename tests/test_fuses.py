@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from mrfsdp import (
-    BinaryTerm,
-    MrfInstance,
-    UnaryTerm,
     brute_force,
     fuses_round,
     fuses_solve,
@@ -12,13 +9,15 @@ from mrfsdp import (
     labeling_to_zo,
 )
 
+from conftest import edge_triples, make_instance, unary_triples
+
 
 def test_unary_only_recovers_measured_labels():
-    unary = tuple(UnaryTerm(i, (i + 1) % 3, 0.5 + 0.2 * i) for i in range(5))
-    inst = MrfInstance(5, 3, unary)
+    unary = [(i, (i + 1) % 3, 0.5 + 0.2 * i) for i in range(5)]
+    inst = make_instance(5, 3, unary)
     res = fuses_solve(inst, seed=0)
     assert res.certified
-    assert np.array_equal(res.labeling, [t.label for t in unary])
+    assert np.array_equal(res.labeling, [lab for _, lab, _ in unary])
     assert res.f_rounded == 0.0
     # the relaxation is tight here (optimum 0); the solver lands within its
     # relative-decrease tolerance of it
@@ -56,10 +55,9 @@ def test_frustrated_complete_graph_bounds():
     # bound must still hold
     import itertools
 
-    edges = tuple(BinaryTerm(i, j, -0.5)
-                  for i, j in itertools.combinations(range(5), 2))
-    unary = tuple(UnaryTerm(i, i % 2, 0.1) for i in range(5))
-    inst = MrfInstance(5, 2, unary, edges)
+    edges = [(i, j, -0.5) for i, j in itertools.combinations(range(5), 2)]
+    unary = [(i, i % 2, 0.1) for i in range(5)]
+    inst = make_instance(5, 2, unary, edges)
     exact = brute_force(inst)
     res = fuses_solve(inst, seed=1)
     assert res.certified
@@ -140,10 +138,10 @@ def test_result_invariants():
 
 
 def _scaled(inst, c):
-    return MrfInstance(
+    return make_instance(
         inst.num_nodes, inst.num_labels,
-        tuple(UnaryTerm(t.node, t.label, c * t.weight) for t in inst.unary),
-        tuple(BinaryTerm(t.i, t.j, c * t.weight) for t in inst.binary),
+        [(node, lab, c * w) for node, lab, w in unary_triples(inst)],
+        [(i, j, c * w) for i, j, w in edge_triples(inst)],
     )
 
 

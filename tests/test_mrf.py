@@ -1,5 +1,7 @@
+import copy
 import decimal
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,33 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfsdp import (
-    BinaryTerm,
     ConstantWeights,
     InvalidInputError,
     KernelWeights,
     MrfInstance,
-    UnaryTerm,
     UniformWeights,
     binary_weight_from_features,
     energy,
     energy_batch,
     generate_grid_instance,
     grid_edges,
+    unary_argmax_labeling,
 )
 from mrfsdp.formats import dumps_instance
 
-from conftest import all_labelings, random_instance
+from conftest import (
+    all_labelings,
+    edge_triples,
+    make_instance,
+    random_instance,
+    unary_triples,
+)
 
 
 def energy_double_loop(mrf, x):
     """Independent oracle: literal double loop over terms and labels."""
     total = 0.0
-    for t in mrf.unary:
-        if x[t.node] != t.label:
-            total = total + t.weight
-    for t in mrf.binary:
-        if x[t.i] != x[t.j]:
-            total = total + t.weight
+    for u in range(mrf.unary_node.size):
+        if x[mrf.unary_node[u]] != mrf.unary_label[u]:
+            total = total + float(mrf.unary_weight[u])
+    for e in range(mrf.edge_i.size):
+        if x[mrf.edge_i[e]] != x[mrf.edge_j[e]]:
+            total = total + float(mrf.edge_weight[e])
     return total
 
 
@@ -44,7 +51,7 @@ def test_energy_empty_instance():
 
 
 def test_energy_single_unary_by_cases():
-    mrf = MrfInstance(1, 2, (UnaryTerm(0, 0, 1.0),))
+    mrf = make_instance(1, 2, [(0, 0, 1.0)])
     assert energy(mrf, [0]) == 0.0
     assert energy(mrf, [1]) == 1.0
 
@@ -52,12 +59,10 @@ def test_energy_single_unary_by_cases():
 def test_energy_matches_double_loop_oracle():
     rng = np.random.default_rng(7)
     slots = [(0, 0), (1, 2), (2, 1), (3, 0), (4, 2), (5, 1), (0, 1), (1, 0)]
-    unary = tuple(
-        UnaryTerm(node, lab, float(rng.normal())) for node, lab in slots
-    )
+    unary = [(node, lab, float(rng.normal())) for node, lab in slots]
     pairs = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (1, 5)]
-    binary = tuple(BinaryTerm(i, j, float(rng.normal())) for i, j in pairs)
-    mrf = MrfInstance(6, 3, unary, binary)
+    binary = [(i, j, float(rng.normal())) for i, j in pairs]
+    mrf = make_instance(6, 3, unary, binary)
     for _ in range(20):
         x = rng.integers(0, 3, size=6)
         assert energy(mrf, x) == pytest.approx(energy_double_loop(mrf, x), abs=1e-14)
@@ -65,11 +70,11 @@ def test_energy_matches_double_loop_oracle():
 
 def test_energy_term_order_invariance(rng):
     mrf = random_instance(rng, min_nodes=3)
-    u = list(mrf.unary)
-    b = list(mrf.binary)
+    u = unary_triples(mrf)
+    b = edge_triples(mrf)
     rng.shuffle(u)
     rng.shuffle(b)
-    shuffled = MrfInstance(mrf.num_nodes, mrf.num_labels, tuple(u), tuple(b))
+    shuffled = make_instance(mrf.num_nodes, mrf.num_labels, u, b)
     for _ in range(10):
         x = rng.integers(0, mrf.num_labels, size=mrf.num_nodes)
         assert energy(mrf, x) == pytest.approx(energy(shuffled, x), abs=1e-12)
@@ -82,10 +87,10 @@ def test_relabeling_symmetry(seed, perm_seed):
     mrf = random_instance(rng, min_nodes=2)
     k = mrf.num_labels
     perm = np.random.default_rng(perm_seed).permutation(k)
-    relabeled = MrfInstance(
+    relabeled = make_instance(
         mrf.num_nodes, k,
-        tuple(UnaryTerm(t.node, int(perm[t.label]), t.weight) for t in mrf.unary),
-        mrf.binary,
+        [(node, int(perm[lab]), w) for node, lab, w in unary_triples(mrf)],
+        edge_triples(mrf),
     )
     for _ in range(5):
         x = rng.integers(0, k, size=mrf.num_nodes)
@@ -93,16 +98,11 @@ def test_relabeling_symmetry(seed, perm_seed):
 
 
 def test_nonnegative_weights_energy_bounds():
-    mrf = MrfInstance(
-        2, 2,
-        (UnaryTerm(0, 0, 0.5), UnaryTerm(1, 1, 0.25)),
-        (BinaryTerm(0, 1, 0.75),),
-    )
+    mrf = make_instance(2, 2, [(0, 0, 0.5), (1, 1, 0.25)], [(0, 1, 0.75)])
     for x in all_labelings(2, 2):
         assert energy(mrf, x) >= 0.0
     # all unary terms matched and the edge agrees: impossible here
-    mrf2 = MrfInstance(2, 2, (UnaryTerm(0, 0, 0.5), UnaryTerm(1, 0, 0.25)),
-                       (BinaryTerm(0, 1, 0.75),))
+    mrf2 = make_instance(2, 2, [(0, 0, 0.5), (1, 0, 0.25)], [(0, 1, 0.75)])
     assert energy(mrf2, [0, 0]) == 0.0
 
 
@@ -114,26 +114,102 @@ def test_energy_batch_matches_scalar(rng):
         assert val == pytest.approx(energy(mrf, row), abs=1e-12)
 
 
+def _unary(node, label, weight):
+    return dict(unary_node=node, unary_label=label, unary_weight=weight)
+
+
+def _edges(i, j, weight):
+    return dict(edge_i=i, edge_j=j, edge_weight=weight)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(num_nodes=0, num_labels=2),
         dict(num_nodes=2, num_labels=1),
-        dict(num_nodes=2, num_labels=2, unary=(UnaryTerm(2, 0, 1.0),)),
-        dict(num_nodes=2, num_labels=2, unary=(UnaryTerm(0, 5, 1.0),)),
-        dict(num_nodes=2, num_labels=2,
-             unary=(UnaryTerm(0, 0, 1.0), UnaryTerm(0, 0, 2.0))),
-        dict(num_nodes=2, num_labels=2, unary=(UnaryTerm(0, 0, math.inf),)),
-        dict(num_nodes=2, num_labels=2, binary=(BinaryTerm(1, 0, 1.0),)),
-        dict(num_nodes=2, num_labels=2, binary=(BinaryTerm(0, 0, 1.0),)),
-        dict(num_nodes=3, num_labels=2,
-             binary=(BinaryTerm(0, 1, 1.0), BinaryTerm(0, 1, 2.0))),
-        dict(num_nodes=2, num_labels=2, binary=(BinaryTerm(0, 1, math.nan),)),
+        dict(num_nodes=2, num_labels=2, **_unary([2], [0], [1.0])),
+        dict(num_nodes=2, num_labels=2, **_unary([0], [5], [1.0])),
+        dict(num_nodes=2, num_labels=2, **_unary([0, 0], [0, 0], [1.0, 2.0])),
+        dict(num_nodes=2, num_labels=2, **_unary([0], [0], [math.inf])),
+        dict(num_nodes=2, num_labels=2, **_edges([1], [0], [1.0])),
+        dict(num_nodes=2, num_labels=2, **_edges([0], [0], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_edges([0, 0], [1, 1], [1.0, 2.0])),
+        dict(num_nodes=2, num_labels=2, **_edges([0], [1], [math.nan])),
+        # index columns must be integer-typed: no truncation of 1.5 to 1,
+        # no float or bool index slipping through
+        dict(num_nodes=3, num_labels=2, **_unary([1.5], [0], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_unary([1.0], [0], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_unary([0], [True], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_edges([0.0], [1], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_edges([0], [np.float64(2)], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_edges([False], [1], [1.0])),
+        # columns of one kind must have equal lengths
+        dict(num_nodes=3, num_labels=2, **_unary([0, 1], [0], [1.0, 1.0])),
+        dict(num_nodes=3, num_labels=2, **_unary([0], [0], [1.0, 2.0])),
+        dict(num_nodes=3, num_labels=2, **_edges([0, 1], [1, 2], [1.0])),
+        dict(num_nodes=3, num_labels=2, **_edges([0], [1, 2], [1.0])),
+        # columns are one-dimensional, weights real
+        dict(num_nodes=3, num_labels=2, **_edges([[0]], [[1]], [[1.0]])),
+        dict(num_nodes=3, num_labels=2, **_unary([0], [0], ["heavy"])),
     ],
 )
 def test_instance_validation_errors(kwargs):
     with pytest.raises(InvalidInputError):
         MrfInstance(**kwargs)
+
+
+def test_instance_columns_read_only():
+    mrf = make_instance(2, 2, [(0, 1, 0.5)], [(0, 1, 0.25)])
+    for name in ("unary_node", "unary_label", "unary_weight",
+                 "edge_i", "edge_j", "edge_weight"):
+        with pytest.raises(ValueError):
+            getattr(mrf, name)[0] = 1
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda m: pickle.loads(pickle.dumps(m))])
+def test_instance_clones_stay_read_only(clone):
+    mrf = generate_grid_instance(2, 3, 3, seed=4)
+    twin = clone(mrf)
+    assert dumps_instance(twin) == dumps_instance(mrf)
+    with pytest.raises(ValueError):
+        twin.edge_weight[0] = 0.0
+
+
+def test_instance_copies_caller_columns():
+    node = np.array([0, 1])
+    mrf = MrfInstance(2, 2, node, [1, 0], [0.5, 0.25])
+    node[0] = 1
+    assert mrf.unary_node.tolist() == [0, 1]
+    assert node.flags.writeable
+
+
+def test_unary_argmax_several_terms_per_node():
+    mrf = make_instance(4, 3, [
+        (0, 1, 0.5), (0, 2, 0.75), (0, 0, 0.25),   # highest weight wins
+        (1, 2, 0.5), (1, 0, 0.5), (1, 1, 0.5),     # tie: first stored wins
+        (3, 1, -0.5), (3, 2, -0.5),                # negative tie: first
+    ])
+    assert unary_argmax_labeling(mrf).tolist() == [2, 2, 0, 1]
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=50, deadline=None)
+def test_unary_argmax_matches_sequential_scan(seed):
+    # tie-heavy weights from a small set; oracle is the first-max scan
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+    slots = [(i, lab) for i in range(n) for lab in range(k)]
+    rng.shuffle(slots)
+    slots = slots[:int(rng.integers(0, len(slots) + 1))]
+    mrf = make_instance(n, k, [(i, lab, float(rng.choice([-1.0, 0.0, 0.5, 1.0])))
+                               for i, lab in slots])
+    expected = [0] * n
+    best = [-math.inf] * n
+    for i, lab, w in unary_triples(mrf):
+        if w > best[i]:
+            best[i], expected[i] = w, lab
+    assert unary_argmax_labeling(mrf).tolist() == expected
 
 
 def test_labeling_validation_errors():
@@ -149,13 +225,13 @@ def test_labeling_validation_errors():
 def test_grid_1x1_degenerate():
     inst = generate_grid_instance(1, 1, 4, seed=3)
     assert inst.num_nodes == 1
-    assert len(inst.binary) == 0
-    assert len(inst.unary) == 1
+    assert inst.edge_i.size == 0
+    assert inst.unary_node.size == 1
 
 
 def test_grid_2x2_has_four_edges():
     inst = generate_grid_instance(2, 2, 2, seed=0)
-    assert len(inst.binary) == 4
+    assert inst.edge_i.size == 4
 
 
 @given(rows=st.integers(1, 5), cols=st.integers(1, 5))
@@ -177,22 +253,22 @@ def test_grid_determinism_byte_identical():
 def test_grid_one_unary_per_node_and_truth():
     inst, truth = generate_grid_instance(3, 4, 3, unary_noise=0.0, seed=1,
                                          return_truth=True)
-    assert len(inst.unary) == 12
-    assert sorted(t.node for t in inst.unary) == list(range(12))
-    measured = {t.node: t.label for t in inst.unary}
+    assert inst.unary_node.size == 12
+    assert sorted(inst.unary_node.tolist()) == list(range(12))
+    measured = dict(zip(inst.unary_node.tolist(), inst.unary_label.tolist()))
     assert all(measured[i] == truth[i] for i in range(12))
 
 
 def test_grid_edge_weight_models():
     const = generate_grid_instance(2, 3, 2, seed=0,
                                    binary_weight_model=ConstantWeights(0.25))
-    assert all(t.weight == 0.25 for t in const.binary)
+    assert all(w == 0.25 for w in const.edge_weight)
     uni = generate_grid_instance(2, 3, 2, seed=0,
                                  binary_weight_model=UniformWeights(0.1, 0.2))
-    assert all(0.1 <= t.weight <= 0.2 for t in uni.binary)
+    assert all(0.1 <= w <= 0.2 for w in uni.edge_weight)
     ker = generate_grid_instance(2, 3, 2, seed=0,
                                  binary_weight_model=KernelWeights(0.02, 0.04))
-    assert all(0.02 <= t.weight <= 0.06 + 1e-12 for t in ker.binary)
+    assert all(0.02 <= w <= 0.06 + 1e-12 for w in ker.edge_weight)
 
 
 def test_kernel_weight_equal_features():

@@ -8,10 +8,8 @@ import mrfsdp.staircase as staircase
 from mrfsdp import (
     InvalidInputError,
     ManifoldShape,
-    MrfInstance,
     NumericalFailureError,
     SolverParams,
-    UnaryTerm,
     encode_zo,
     fuses_round,
     generate_grid_instance,
@@ -21,6 +19,8 @@ from mrfsdp import (
     trace_quadratic,
     zo_to_labeling,
 )
+
+from conftest import make_instance
 
 
 def test_solver_params_defaults_match_reference_table():
@@ -108,8 +108,8 @@ def test_tnt_nonfinite_objective_raises(rng):
 
 
 def test_staircase_unary_only_certifies_first_rank():
-    unary = tuple(UnaryTerm(i, (i * 2) % 3, 1.0 + 0.1 * i) for i in range(4))
-    inst = MrfInstance(4, 3, unary)
+    unary = [(i, (i * 2) % 3, 1.0 + 0.1 * i) for i in range(4)]
+    inst = make_instance(4, 3, unary)
     enc = encode_zo(inst)
     shape = ManifoldShape(4, 3, 4)
     res = staircase_solve(enc.Q, shape, initial_rank=4, params=SolverParams(),
@@ -118,7 +118,7 @@ def test_staircase_unary_only_certifies_first_rank():
     assert len(res.rank_history) == 1
     assert res.rank_history[0][0] == 4
     labels = zo_to_labeling(fuses_round(res.R_opt, 4, 3))
-    assert np.array_equal(labels, [t.label for t in unary])
+    assert np.array_equal(labels, [lab for _, lab, _ in unary])
 
 
 def test_staircase_escape_two_node_coupling():
