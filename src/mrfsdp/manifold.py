@@ -11,8 +11,14 @@ metric projection throughout: row normalization for sphere rows and the
 polar factor for the bottom block (projection retractions are second order,
 which the Taylor-remainder tests rely on).  Cost functions are trace
 quadratics f(R) = trace(M R R^T) for sparse symmetric M; the Riemannian
-gradient is the tangent projection of 2 M R and the Hessian-vector product
-subtracts the standard curvature correction before projecting.
+gradient is the tangent projection of 2 M R.  The Riemannian Hessian at R is
+
+    Hess f(R)[V] = P_R(2 M V - w * V_sphere - sym(G_B B^T) V_B),
+
+with G = 2 M R, w_i = <G_i, R_i> on the sphere rows and B the bottom block.
+w and sym(G_B B^T) depend on R alone, so _hessian_operator computes them once
+per iterate and returns a map V -> Hess f(R)[V] that costs one sparse product
+and one in-place projection per call.
 """
 
 from __future__ import annotations
@@ -134,12 +140,8 @@ def tangent_residual(shape: ManifoldShape, R, V) -> float:
     return res
 
 
-def project_tangent(shape: ManifoldShape, R, ambient) -> np.ndarray:
-    """Orthogonal projection of an ambient matrix onto the tangent space."""
-    R = _check_point(shape, R)
-    V = np.array(ambient, dtype=float, copy=True)
-    if V.shape != R.shape:
-        raise InvalidInputError("ambient direction shape mismatch")
+def _project_inplace(shape: ManifoldShape, R: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Overwrite V (a float array shaped like R) with its tangent projection."""
     ns = shape.n_sphere_rows
     if ns:
         dots = np.einsum("ij,ij->i", V[:ns], R[:ns])
@@ -150,6 +152,15 @@ def project_tangent(shape: ManifoldShape, R, ambient) -> np.ndarray:
         S = 0.5 * (S + S.T)
         V[ns:] -= S @ B
     return V
+
+
+def project_tangent(shape: ManifoldShape, R, ambient) -> np.ndarray:
+    """Orthogonal projection of an ambient matrix onto the tangent space."""
+    R = _check_point(shape, R)
+    V = np.array(ambient, dtype=float, copy=True)
+    if V.shape != R.shape:
+        raise InvalidInputError("ambient direction shape mismatch")
+    return _project_inplace(shape, R, V)
 
 
 def retract(shape: ManifoldShape, R, tangent) -> np.ndarray:
@@ -203,19 +214,30 @@ def riemannian_gradient(M, shape: ManifoldShape, R) -> np.ndarray:
     return project_tangent(shape, R, 2.0 * (M @ R))
 
 
-def _hessian_vec(shape: ManifoldShape, R, V, M, euclid_grad) -> np.ndarray:
-    """Hessian-vector product given the precomputed ambient gradient 2 M R."""
-    W = 2.0 * (M @ V)
+def _hessian_operator(shape: ManifoldShape, R, M, euclid_grad):
+    """Riemannian Hessian of trace(M R R^T) at R, as a map V -> Hess f(R)[V].
+
+    euclid_grad is the ambient gradient 2 M R.  The curvature terms w and
+    sym(G_B B^T) are computed here, once per point; each application is one
+    product M V, the corrections, and an in-place tangent projection.
+    """
     ns = shape.n_sphere_rows
-    if ns:
-        w = np.einsum("ij,ij->i", euclid_grad[:ns], R[:ns])
-        W[:ns] = W[:ns] - w[:, None] * V[:ns]
+    w = np.einsum("ij,ij->i", euclid_grad[:ns], R[:ns])[:, None] if ns else None
+    S = None
     if shape.bottom_block_rows:
-        B = R[ns:]
-        S = euclid_grad[ns:] @ B.T
+        S = euclid_grad[ns:] @ R[ns:].T
         S = 0.5 * (S + S.T)
-        W[ns:] = W[ns:] - S @ V[ns:]
-    return project_tangent(shape, R, W)
+
+    def apply(V):
+        W = M @ V
+        W *= 2.0
+        if w is not None:
+            W[:ns] -= w * V[:ns]
+        if S is not None:
+            W[ns:] -= S @ V[ns:]
+        return _project_inplace(shape, R, W)
+
+    return apply
 
 
 def riemannian_hessian_vec(M, shape: ManifoldShape, R, tangent) -> np.ndarray:
@@ -223,4 +245,4 @@ def riemannian_hessian_vec(M, shape: ManifoldShape, R, tangent) -> np.ndarray:
     check_symmetric(M)
     R = _check_point(shape, R)
     V = _check_point(shape, tangent)
-    return _hessian_vec(shape, R, V, M, 2.0 * (M @ R))
+    return _hessian_operator(shape, R, M, 2.0 * (M @ R))(V)

@@ -53,7 +53,7 @@ from .errors import InvalidInputError, NumericalFailureError
 from .manifold import (
     ManifoldShape,
     _as_rng,
-    _hessian_vec,
+    _hessian_operator,
     check_symmetric,
     project_tangent,
     random_point,
@@ -133,7 +133,7 @@ class StaircaseResult:
 
 
 def _inner(a, b) -> float:
-    return float(np.sum(a * b))
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def _to_boundary(s, d, radius) -> float:
@@ -147,8 +147,16 @@ def _to_boundary(s, d, radius) -> float:
 
 def _steihaug(grad, hess_vec, radius, max_iters, eta):
     """Truncated CG on the trust-region model; stops on negative curvature,
-    the boundary, or eta-based residual reduction."""
+    the boundary, or eta-based residual reduction.
+
+    Returns (s, Hs, hit_boundary, iterations).  CG keeps the model gradient
+    r = grad + H s, so Hs = r - grad comes for free; a boundary or
+    negative-curvature exit at s + tau d adds tau H d.  hess_vec is applied
+    once per iteration and never to s itself.  s, r and d are updated in
+    place.
+    """
     s = np.zeros_like(grad)
+    s_new = np.empty_like(grad)
     r = grad.copy()
     d = -grad
     rtr = _inner(r, r)
@@ -157,21 +165,28 @@ def _steihaug(grad, hess_vec, radius, max_iters, eta):
     for k in range(max_iters):
         Hd = hess_vec(d)
         dHd = _inner(d, Hd)
-        if dHd <= 0.0:
+        if dHd > 0.0:
+            alpha = rtr / dHd
+            np.multiply(d, alpha, out=s_new)
+            s_new += s
+        if dHd <= 0.0 or math.sqrt(_inner(s_new, s_new)) >= radius:
             tau = _to_boundary(s, d, radius)
-            return s + tau * d, True, k + 1
-        alpha = rtr / dHd
-        s_new = s + alpha * d
-        if math.sqrt(_inner(s_new, s_new)) >= radius:
-            tau = _to_boundary(s, d, radius)
-            return s + tau * d, True, k + 1
-        r = r + alpha * Hd
+            d *= tau
+            s += d
+            Hd *= tau
+            r -= grad
+            r += Hd
+            return s, r, True, k + 1
+        Hd *= alpha
+        r += Hd
+        s, s_new = s_new, s
         rtr_new = _inner(r, r)
         if math.sqrt(rtr_new) <= target:
-            return s_new, False, k + 1
-        d = -r + (rtr_new / rtr) * d
-        s, rtr = s_new, rtr_new
-    return s, False, max_iters
+            return s, r - grad, False, k + 1
+        d *= rtr_new / rtr
+        d -= r
+        rtr = rtr_new
+    return s, r - grad, False, max_iters
 
 
 def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
@@ -182,6 +197,12 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     strictly decrease the objective; the radius shrinks by alpha1 on
     rejected steps and grows by alpha2 on very successful boundary steps.
     check=False skips the symmetry check of M (for callers that made it).
+
+    The Hessian operator is built once per iterate (and kept across rejected
+    steps); the model's predicted decrease uses the Hs that truncated CG
+    returns, so each step costs exactly one Hessian-vector product per CG
+    iteration.  M R of an accepted point is the product its objective was
+    evaluated with.
     """
     if check:
         check_symmetric(M)
@@ -195,17 +216,17 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     egrad = 2.0 * MR
     grad = project_tangent(shape, R, egrad)
     gnorm = math.sqrt(_inner(grad, grad))
+    hess = _hessian_operator(shape, R, M, egrad)
     radius = params.initial_tr_radius
     iterations = 0
     while iterations < params.max_tnt_iterations and gnorm >= params.grad_norm_tol:
-        hess = lambda V: _hessian_vec(shape, R, V, M, egrad)
-        s, hit_boundary, _ = _steihaug(
+        s, Hs, hit_boundary, _ = _steihaug(
             grad, hess, radius, params.max_cg_iterations, params.cg_success_eta
         )
-        Hs = hess(s)
         predicted = -(_inner(grad, s) + 0.5 * _inner(s, Hs))
         R_new = retract(shape, R, s)
-        f_new = trace_quadratic(M, R_new)
+        MR_new = M @ R_new
+        f_new = float(np.sum(R_new * MR_new))
         if not math.isfinite(f_new):
             raise NumericalFailureError("non-finite objective", last_point=R)
         iterations += 1
@@ -215,11 +236,11 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
             rel_decrease = (f - f_new) / max(1.0, abs(f))
             if rho >= _VERY_SUCCESSFUL_RATIO and hit_boundary:
                 radius *= params.tr_increase_factor
-            R, f = R_new, f_new
-            MR = M @ R
+            R, f, MR = R_new, f_new, MR_new
             egrad = 2.0 * MR
             grad = project_tangent(shape, R, egrad)
             gnorm = math.sqrt(_inner(grad, grad))
+            hess = _hessian_operator(shape, R, M, egrad)
             if verbose:
                 logger.info(
                     "tnt iter=%d accepted=1 f=%.12g grad_norm=%.6g radius=%.6g rank=%d",
@@ -324,7 +345,7 @@ def staircase_solve(M, base_shape: ManifoldShape, initial_rank: int,
         rel_func_decrease_tol=params.rel_func_decrease_tol * _REFINE_DECREASE_FACTOR,
     )
 
-    result = StaircaseResult(R_opt=R, objective=trace_quadratic(M, R))
+    result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(params.max_staircase_steps):
         R, f, gnorm, iters = tnt_minimize(M, shape, R, refined,
                                           verbose=verbose, check=False)

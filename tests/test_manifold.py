@@ -18,6 +18,7 @@ from mrfsdp import (
     tangent_residual,
     trace_quadratic,
 )
+from mrfsdp.manifold import _hessian_operator
 
 SHAPES = [ManifoldShape(8, 0, 3), ManifoldShape(6, 3, 4), ManifoldShape(5, 2, 2)]
 
@@ -214,3 +215,38 @@ def test_hessian_taylor_remainder(shape, rng):
         assert mask.sum() >= 3
         slope = np.polyfit(np.log(ts[mask]), np.log(errs[mask]), 1)[0]
         assert slope >= 2.7
+
+
+def hessian_reference(M, shape, R, V):
+    """P_R(2MV - w*V_sphere - sym(G_B B^T) V_B) with G = 2MR, written out on
+    a dense M with its own tangent projection."""
+    A = M.toarray()
+    G = 2.0 * A @ R
+    ns = shape.n_sphere_rows
+    W = 2.0 * A @ V
+    for i in range(ns):
+        W[i] -= (G[i] @ R[i]) * V[i]
+        W[i] -= (W[i] @ R[i]) * R[i]
+    if shape.bottom_block_rows:
+        B = R[ns:]
+        C = G[ns:] @ B.T
+        W[ns:] -= 0.5 * (C + C.T) @ V[ns:]
+        C = W[ns:] @ B.T
+        W[ns:] -= 0.5 * (C + C.T) @ B
+    return W
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_hessian_operator_matches_reference_formula(shape, rng):
+    M = random_symmetric(rng, shape.total_rows)
+    for _ in range(3):
+        R = random_point(shape, rng)
+        hess = _hessian_operator(shape, R, M, 2.0 * (M @ R))
+        for _ in range(3):
+            V = random_tangent(shape, R, rng, unit=False)
+            V_before = V.copy()
+            ref = hessian_reference(M, shape, R, V)
+            for H in (hess(V), hess(V), riemannian_hessian_vec(M, shape, R, V)):
+                assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert tangent_residual(shape, R, H) <= 1e-12
+            assert np.array_equal(V, V_before)

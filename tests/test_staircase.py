@@ -13,12 +13,14 @@ from mrfsdp import (
     encode_zo,
     fuses_round,
     generate_grid_instance,
+    project_tangent,
     random_point,
     staircase_solve,
     tnt_minimize,
     trace_quadratic,
     zo_to_labeling,
 )
+from mrfsdp.manifold import _hessian_operator
 
 from conftest import make_instance
 
@@ -210,3 +212,74 @@ def test_symmetry_checked_once_per_staircase(monkeypatch):
     assert len(res.rank_history) == 2 and len(calls) == 1
     tnt_minimize(M, ManifoldShape(2, 0, 2), res.R_opt, SolverParams())
     assert len(calls) == 2
+
+
+def _indefinite_operator():
+    """The Hessian operator of a small indefinite M at a random point, and
+    its tangent eigenvectors (columns, as flattened points) by eigenvalue."""
+    rng = np.random.default_rng(3)
+    shape = ManifoldShape(6, 2, 3)
+    A = rng.standard_normal((8, 8))
+    M = sp.csr_matrix((A + A.T) / 2.0)
+    R = random_point(shape, rng)
+    hess = _hessian_operator(shape, R, M, 2.0 * (M @ R))
+    P = np.array([project_tangent(shape, R, e.reshape(R.shape)).ravel()
+                  for e in np.eye(R.size)])
+    w, U = np.linalg.eigh(P)
+    U = U[:, w > 0.5]  # orthonormal basis of the tangent space
+    H = U.T @ np.column_stack([hess(u.reshape(R.shape)).ravel() for u in U.T])
+    lam, Y = np.linalg.eigh(0.5 * (H + H.T))
+    assert U.shape[1] == shape.tangent_dim and lam[0] < 0.0 < lam[-1]
+    return hess, R.shape, lam, U @ Y
+
+
+@pytest.mark.parametrize("exit_kind", ["interior", "boundary", "negative_curvature"])
+def test_steihaug_returns_hessian_of_step(exit_kind):
+    hess, point_shape, lam, E = _indefinite_operator()
+    pos = lam > 0.0
+    c = np.ones(pos.sum())
+    grad = E[:, pos] @ c
+    radius = 1e6
+    if exit_kind == "boundary":
+        radius = 0.5 * np.linalg.norm(c / lam[pos])  # half the Newton step
+    elif exit_kind == "negative_curvature":
+        grad = grad + E[:, ~pos].sum(axis=1)
+    applied = []
+
+    def hess_vec(d):
+        Hd = hess(d)
+        applied.append(float(np.sum(d * Hd)))
+        return Hd
+
+    s, Hs, hit_boundary, iters = staircase._steihaug(
+        grad.reshape(point_shape), hess_vec, radius, 2000, 1e-6)
+    assert iters == len(applied) >= 2
+    assert hit_boundary == (exit_kind != "interior")
+    assert (applied[-1] <= 0.0) == (exit_kind == "negative_curvature")
+    if hit_boundary:
+        assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+    expected = hess(s)
+    assert np.linalg.norm(Hs - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_tnt_one_hessian_product_per_cg_iteration(rng, monkeypatch):
+    applied, cg_iterations = [], []
+    steihaug = staircase._steihaug
+
+    def counting_operator(*args):
+        hess = _hessian_operator(*args)
+        return lambda V: applied.append(1) or hess(V)
+
+    def counting_steihaug(*args):
+        out = steihaug(*args)
+        cg_iterations.append(out[3])
+        return out
+
+    monkeypatch.setattr(staircase, "_hessian_operator", counting_operator)
+    monkeypatch.setattr(staircase, "_steihaug", counting_steihaug)
+    inst = generate_grid_instance(3, 3, 3, unary_noise=0.3, seed=11)
+    shape = ManifoldShape(9, 3, 4)
+    _, _, _, iters = tnt_minimize(encode_zo(inst).Q, shape,
+                                  random_point(shape, rng), SolverParams())
+    assert iters == len(cg_iterations) >= 2
+    assert len(applied) == sum(cg_iterations)
