@@ -9,8 +9,14 @@ The instance format is the canonical interchange document
 parsed strictly: unknown keys are rejected at every level.  All writes are
 whole-file atomic (temp file + rename) and serialization is canonical
 (sorted keys, fixed indentation), so identical inputs give byte-identical
-files.  Result documents keep every timing field under the single "timing"
-key so reproducibility checks can ignore it.
+files.  `dumps_instance` writes the instance text straight from the six term
+columns with one fixed template per term kind; the text is byte-identical to
+`json.dumps(doc, indent=2, sort_keys=True) + "\n"` of the document above, and
+`instance_sha256` is the sha256 of that text.  `instance_from_doc` checks the
+term objects a column at a time and re-checks term by term only when a check
+fails, so its errors are those of the term-by-term checks.  Result documents
+keep every timing field under the single "timing" key so reproducibility
+checks can ignore it.
 """
 
 from __future__ import annotations
@@ -67,27 +73,33 @@ def _as_number(value, where):
     return float(value)
 
 
-def instance_to_doc(mrf: MrfInstance) -> dict:
-    unary = zip(mrf.unary_node.tolist(), mrf.unary_label.tolist(),
-                mrf.unary_weight.tolist())
-    binary = zip(mrf.edge_i.tolist(), mrf.edge_j.tolist(),
-                 mrf.edge_weight.tolist())
-    return {
-        "num_nodes": mrf.num_nodes,
-        "num_labels": mrf.num_labels,
-        "unary": [{"node": n, "label": l, "weight": w} for n, l, w in unary],
-        "binary": [{"i": i, "j": j, "weight": w} for i, j, w in binary],
-    }
-
-
-def _entries(items, keys, parse, where):
-    """Columns of a list of term objects, each checked for exactly `keys`."""
+def _entries_by_term(items, keys, where):
+    """Columns of a list of term objects, each entry checked on its own for
+    exactly `keys`, integer indices and a numeric weight."""
     columns = [[] for _ in keys]
     for e in items:
         _require_keys(e, keys, where=where)
-        for column, key, convert in zip(columns, keys, parse):
+        for column, key, convert in zip(columns, keys, (_as_int, _as_int, _as_number)):
             column.append(convert(e[key], key))
     return columns
+
+
+def _entries(items, keys, where):
+    """Columns of a list of term objects (two indices, then the weight).
+
+    The common case, plain dicts with exactly `keys`, int indices and float
+    weights, is checked a column at a time.  Anything else (an int weight, a
+    subclass, a bad entry) goes through `_entries_by_term`, which accepts or
+    rejects it exactly as a term-by-term check would and raises the error of
+    the first offending entry."""
+    keyset = set(keys)
+    if all(type(e) is dict and e.keys() == keyset for e in items):
+        columns = [[e[key] for e in items] for key in keys]
+        if (all(type(v) is int for v in columns[0])
+                and all(type(v) is int for v in columns[1])
+                and all(type(v) is float for v in columns[2])):
+            return columns
+    return _entries_by_term(items, keys, where)
 
 
 def instance_from_doc(doc) -> MrfInstance:
@@ -95,17 +107,38 @@ def instance_from_doc(doc) -> MrfInstance:
                   where="instance")
     if not isinstance(doc["unary"], list) or not isinstance(doc["binary"], list):
         raise InvalidInputError("unary/binary must be arrays")
-    unary = _entries(doc["unary"], ("node", "label", "weight"),
-                     (_as_int, _as_int, _as_number), "unary term")
-    binary = _entries(doc["binary"], ("i", "j", "weight"),
-                      (_as_int, _as_int, _as_number), "binary term")
+    unary = _entries(doc["unary"], ("node", "label", "weight"), "unary term")
+    binary = _entries(doc["binary"], ("i", "j", "weight"), "binary term")
     return MrfInstance(_as_int(doc["num_nodes"], "num_nodes"),
                        _as_int(doc["num_labels"], "num_labels"),
                        *unary, *binary)
 
 
+# One term object as json.dumps(indent=2, sort_keys=True) lays it out inside
+# the instance document: keys in sorted order, 4/6-space indents.  Columns
+# come from tolist(), so indices are ints and weights finite floats, whose
+# repr is exactly what json writes for them; the sizes may be numpy integers,
+# so they go through int().
+_UNARY_TERM = '    {{\n      "label": {},\n      "node": {},\n      "weight": {!r}\n    }}'
+_BINARY_TERM = '    {{\n      "i": {},\n      "j": {},\n      "weight": {!r}\n    }}'
+
+
+def _terms_text(template, *columns):
+    if not columns[0].size:
+        return "[]"
+    terms = map(template.format, *(c.tolist() for c in columns))
+    return "[\n" + ",\n".join(terms) + "\n  ]"
+
+
 def dumps_instance(mrf: MrfInstance) -> str:
-    return _canonical_dumps(instance_to_doc(mrf))
+    return ('{\n  "binary": '
+            + _terms_text(_BINARY_TERM, mrf.edge_i, mrf.edge_j, mrf.edge_weight)
+            + f',\n  "num_labels": {int(mrf.num_labels)}'
+            + f',\n  "num_nodes": {int(mrf.num_nodes)}'
+            + ',\n  "unary": '
+            + _terms_text(_UNARY_TERM, mrf.unary_label, mrf.unary_node,
+                          mrf.unary_weight)
+            + "\n}\n")
 
 
 def save_instance(mrf: MrfInstance, path: str) -> None:
