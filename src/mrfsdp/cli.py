@@ -13,14 +13,14 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import formats
 from .baselines import DEFAULT_BUDGET, brute_force, icm
-from .dars import DualParams, dars_solve
+from .dars import DARS_SOLVER_PARAMS, DualParams, dars_solve
 from .encode_pm import encode_pm
 from .encode_zo import encode_zo
 from .errors import (
@@ -38,71 +38,97 @@ from .mrf import (
     generate_grid_instance,
     unary_argmax_labeling,
 )
-from .staircase import SolverParams
+from .staircase import SolveResult, SolverParams
 
 METHODS = ("fuses", "dars", "icm", "exact")
 
 
+# help text of the solver flags that carry one; "{fuses}"/"{dars}" stand
+# for the field's default in SolverParams()/DARS_SOLVER_PARAMS
+_SOLVER_FLAG_HELP = {
+    "grad_norm_tol": "gradient norm tolerance (default {fuses} fuses, {dars} dars)",
+    "eig_tol": "lift the rank when the smallest eigenvalue of the certificate "
+               "matrix S is below -EIG_TOL (default {fuses})",
+}
+# DualParams fields exposed as --dual-* flags
+_DUAL_FLAGS = ("step_size", "max_iterations", "grad_tol")
+
+
+def _sci(x: float) -> str:
+    """0.01 -> "1e-2"."""
+    return f"{x:.0e}".replace("e-0", "e-")
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per SolverParams field and per _DUAL_FLAGS field, each
+    defaulting to None (= the method's base value, see _params_from_args)."""
     g = parser.add_argument_group("solver parameters")
-    g.add_argument("--grad-norm-tol", type=float, default=None,
-                   help="gradient norm tolerance (default 1e-2 fuses, 1e-3 dars)")
-    g.add_argument("--eig-tol", type=float, default=1e-2,
-                   help="lift the rank when the smallest eigenvalue of the "
-                        "certificate matrix S is below -EIG_TOL (default 1e-2)")
-    g.add_argument("--rel-func-decrease-tol", type=float, default=1e-5)
-    g.add_argument("--max-tnt-iterations", type=int, default=500)
-    g.add_argument("--initial-tr-radius", type=float, default=1.0)
-    g.add_argument("--tr-decrease-factor", type=float, default=0.25)
-    g.add_argument("--tr-increase-factor", type=float, default=2.5)
-    g.add_argument("--max-cg-iterations", type=int, default=2000)
-    g.add_argument("--cg-success-eta", type=float, default=0.9)
-    g.add_argument("--max-staircase-steps", type=int, default=10)
+    for f in fields(SolverParams):
+        text = _SOLVER_FLAG_HELP.get(f.name)
+        g.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=type(f.default), default=None,
+                       help=text and text.format(
+                           fuses=_sci(f.default),
+                           dars=_sci(getattr(DARS_SOLVER_PARAMS, f.name))))
     d = parser.add_argument_group("dual ascent parameters")
-    d.add_argument("--dual-step-size", type=float, default=0.005)
-    d.add_argument("--dual-max-iterations", type=int, default=1000)
-    d.add_argument("--dual-grad-tol", type=float, default=0.5)
+    for f in fields(DualParams):
+        if f.name in _DUAL_FLAGS:
+            d.add_argument("--dual-" + f.name.replace("_", "-"),
+                           dest="dual_" + f.name, type=type(f.default),
+                           default=None)
 
 
-def _solver_params_from_args(args, method: str) -> SolverParams:
-    tol = args.grad_norm_tol
-    if tol is None:
-        tol = 1e-3 if method == "dars" else 1e-2
-    return SolverParams(
-        grad_norm_tol=tol,
-        eig_tol=args.eig_tol,
-        rel_func_decrease_tol=args.rel_func_decrease_tol,
-        max_tnt_iterations=args.max_tnt_iterations,
-        initial_tr_radius=args.initial_tr_radius,
-        tr_decrease_factor=args.tr_decrease_factor,
-        tr_increase_factor=args.tr_increase_factor,
-        max_cg_iterations=args.max_cg_iterations,
-        cg_success_eta=args.cg_success_eta,
-        max_staircase_steps=args.max_staircase_steps,
-    )
-
-
-def _dual_params_from_args(args) -> DualParams:
-    return DualParams(
-        step_size=args.dual_step_size,
-        max_iterations=args.dual_max_iterations,
-        grad_tol=args.dual_grad_tol,
-    )
+def _params_from_args(base, args, prefix: str = ""):
+    """base with every flag the user gave (dest prefix + field name)
+    applied on top."""
+    given = {f.name: getattr(args, prefix + f.name) for f in fields(base)
+             if getattr(args, prefix + f.name, None) is not None}
+    return replace(base, **given)
 
 
 def _build_config(method: str, args, seed: int) -> dict:
     config = {"method": method, "seed": seed}
-    if method in ("fuses", "dars"):
-        config["solver"] = asdict(_solver_params_from_args(args, method))
     if method == "fuses":
+        config["solver"] = asdict(_params_from_args(SolverParams(), args))
         config["init"] = args.init
     if method == "dars":
-        config["dual"] = asdict(_dual_params_from_args(args))
+        config["solver"] = asdict(_params_from_args(DARS_SOLVER_PARAMS, args))
+        config["dual"] = asdict(_params_from_args(DualParams(), args, "dual_"))
     if method == "icm":
         config["icm"] = {"init": args.icm_init, "max_sweeps": args.icm_max_sweeps}
     if method == "exact":
         config["budget"] = args.budget
     return config
+
+
+def _solve_payload(res: SolveResult) -> dict:
+    """Result-document blocks of a fuses or dars run; staircase carries
+    lower_bound/min_eig when set (fuses), dual is None unless dars."""
+    staircase = {"rank_history": [[int(r), int(i), float(g)]
+                                  for r, i, g in res.rank_history]}
+    if res.lower_bound is not None:
+        staircase.update(lower_bound=float(res.lower_bound),
+                         min_eig=float(res.min_eig))
+    dual = None
+    if res.dual_iterations is not None:
+        dual = {
+            "iterations": res.dual_iterations,
+            "constraint_residual_max": res.constraint_residual_max,
+            "residual_history": [float(v) for v in res.residual_history],
+            "dual_value_history": [float(v) for v in res.dual_value_history],
+        }
+    return {
+        "labeling": [int(v) for v in res.labeling],
+        "objectives": {"f_rounded": res.f_rounded, "f_relaxed": res.f_relaxed,
+                       "subopt_bound": res.subopt_bound,
+                       "dual_bound": res.dual_bound, "offset": res.offset},
+        "flags": {"certified": bool(res.certified),
+                  "dual_converged": res.dual_converged,
+                  "divergence_warning": res.divergence_warning},
+        "staircase": staircase,
+        "dual": dual,
+        "timing": dict(res.timings),
+    }
 
 
 def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> dict:
@@ -114,6 +140,15 @@ def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> di
     """
     method = config["method"]
     seed = config.get("seed", 0)
+    if method == "fuses":
+        return _solve_payload(fuses_solve(
+            mrf, params=SolverParams(**config["solver"]), seed=seed,
+            init=config.get("init", "random"), verbose=verbose))
+    if method == "dars":
+        return _solve_payload(dars_solve(
+            mrf, params=SolverParams(**config["solver"]),
+            dual_params=DualParams(**config["dual"]), seed=seed,
+            verbose=verbose))
     t0 = time.perf_counter()
     payload: dict = {
         "labeling": None,
@@ -125,48 +160,7 @@ def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> di
         "dual": None,
         "timing": {},
     }
-    if method == "fuses":
-        params = SolverParams(**config["solver"])
-        res = fuses_solve(mrf, params=params, seed=seed,
-                          init=config.get("init", "random"), verbose=verbose)
-        payload["labeling"] = [int(v) for v in res.labeling]
-        payload["objectives"].update(
-            f_rounded=res.f_rounded, f_relaxed=res.f_relaxed,
-            subopt_bound=res.subopt_bound, offset=res.offset)
-        payload["flags"]["certified"] = bool(res.certified)
-        payload["staircase"] = {
-            "rank_history": [[int(r), int(i), float(g)]
-                             for r, i, g in res.rank_history],
-            "lower_bound": float(res.lower_bound),
-            "min_eig": float(res.min_eig),
-        }
-        payload["timing"] = dict(res.timings)
-    elif method == "dars":
-        params = SolverParams(**config["solver"])
-        dual = DualParams(**config["dual"])
-        res = dars_solve(mrf, params=params, dual_params=dual, seed=seed,
-                         verbose=verbose)
-        payload["labeling"] = [int(v) for v in res.labeling]
-        payload["objectives"].update(
-            f_rounded=res.f_rounded, f_relaxed=res.f_relaxed,
-            subopt_bound=res.subopt_bound, dual_bound=res.dual_bound,
-            offset=res.offset)
-        payload["flags"].update(
-            certified=bool(res.certified),
-            dual_converged=bool(res.dual_converged),
-            divergence_warning=bool(res.divergence_warning))
-        payload["staircase"] = {
-            "rank_history": [[int(r), int(i), float(g)]
-                             for r, i, g in res.rank_history],
-        }
-        payload["dual"] = {
-            "iterations": res.dual_iterations,
-            "constraint_residual_max": res.constraint_residual_max,
-            "residual_history": [float(v) for v in res.residual_history],
-            "dual_value_history": [float(v) for v in res.dual_value_history],
-        }
-        payload["timing"] = dict(res.timings)
-    elif method == "icm":
+    if method == "icm":
         icm_cfg = config.get("icm", {})
         init_mode = icm_cfg.get("init", "unary")
         if init_mode == "unary":

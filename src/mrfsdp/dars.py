@@ -25,7 +25,10 @@ with the eigen-solver's residual charged, so
 is a lower bound on the discrete optimum at any lambda, converged or not,
 and subopt_bound = f_rounded - dual_bound.  f_relaxed, the primal value at
 a point that need not satisfy the sum constraints, is reported but is not
-a bound.
+a bound.  dars_solve returns a staircase.SolveResult with the dual-ascent
+fields set and the staircase-certificate fields None; its primal solves
+default to DARS_SOLVER_PARAMS, a tighter gradient tolerance than
+SolverParams'.
 
 Rounding takes the dominant singular direction of R, fixes its global sign
 so the homogenization entry is nonnegative, and assigns each node the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,9 +50,11 @@ from .encode_pm import PmEncoding, encode_pm
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, trace_quadratic
 from .mrf import MrfInstance, energy
-from .staircase import SolverParams, staircase_solve
+from .staircase import SolveResult, SolverParams, staircase_solve
 
 logger = logging.getLogger(__name__)
+
+DARS_SOLVER_PARAMS = SolverParams(grad_norm_tol=1e-3)
 
 
 @dataclass(frozen=True)
@@ -63,27 +68,6 @@ class DualParams:
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iterations < 1 or self.grad_tol <= 0:
             raise InvalidInputError("dual parameters must be positive")
-
-
-@dataclass
-class DarsResult:
-    labeling: np.ndarray
-    f_relaxed: float
-    f_rounded: float
-    subopt_bound: float
-    dual_bound: float
-    dual_converged: bool
-    certified: bool
-    dual_iterations: int
-    constraint_residual_max: float
-    rank_history: list = field(default_factory=list)
-    dual_value_history: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
-    primal_certified_history: list = field(default_factory=list)
-    divergence_warning: bool = False
-    offset: float = 0.0
-    wall_time: float = 0.0
-    timings: dict = field(default_factory=dict)
 
 
 class DivergenceMonitor:
@@ -151,7 +135,7 @@ def dars_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
     return v[:-1].reshape(num_nodes, num_labels).argmax(axis=1)
 
 
-def dars_certificate(result: DarsResult, f_opt: float | None = None,
+def dars_certificate(result: SolveResult, f_opt: float | None = None,
                      tol: float = 1e-9):
     """(bound_valid, gap) with gap = f_rounded - dual_bound.  Valid only for
     converged, certified runs; with a known optimum the rounding bound is
@@ -166,10 +150,10 @@ def dars_certificate(result: DarsResult, f_opt: float | None = None,
 
 def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
                dual_params: DualParams | None = None, seed: int = 0,
-               verbose: bool = False) -> DarsResult:
+               verbose: bool = False) -> SolveResult:
     t0 = time.perf_counter()
     if params is None:
-        params = SolverParams(grad_norm_tol=1e-3)
+        params = DARS_SOLVER_PARAMS
     if dual_params is None:
         dual_params = DualParams()
     enc = encode_pm(mrf)
@@ -191,7 +175,6 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
     monitor = DivergenceMonitor(dual_params.divergence_factor,
                                 dual_params.divergence_patience)
     iterations = 0
-    grad = np.zeros(n)
     for _ in range(dual_params.max_iterations):
         iterations += 1
         L_lam = _assemble_l_lambda(enc, lam, template)
@@ -232,22 +215,21 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         "round_s": t_end - t_solve,
         "total_s": t_end - t0,
     }
-    return DarsResult(
+    return SolveResult(
         labeling=labeling,
         f_relaxed=f_relaxed,
         f_rounded=f_rounded,
         subopt_bound=f_rounded - dual_bound,
+        certified=bool(cert_hist[-1]),
+        rank_history=rank_history,
+        offset=enc.offset,
+        timings=timings,
         dual_bound=dual_bound,
         dual_converged=converged,
-        certified=bool(cert_hist[-1]),
         dual_iterations=iterations,
-        constraint_residual_max=float(np.max(np.abs(dual_gradient(enc, R)))),
-        rank_history=rank_history,
+        constraint_residual_max=residuals[-1],
         dual_value_history=dual_values,
         residual_history=residuals,
         primal_certified_history=cert_hist,
         divergence_warning=divergence_warning,
-        offset=enc.offset,
-        wall_time=t_end - t0,
-        timings=timings,
     )

@@ -7,7 +7,9 @@ below at whatever point it stops, so with lower_bound = that bound + offset
 
     f_rounded - f_opt <= subopt_bound = f_rounded - lower_bound
 
-holds without knowing f_opt, certified or not.  Rounding reads the
+holds without knowing f_opt, certified or not.  fuses_solve returns a
+staircase.SolveResult with the certificate fields lower_bound and min_eig
+set and the dual-ascent fields None.  Rounding reads the
 top-right N x K block of R R^T directly as R_top @ R_bottom^T (rank <= r
 already) and takes per-row argmax, ties broken toward the lowest label
 index.
@@ -15,9 +17,7 @@ index.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,22 +25,7 @@ from .encode_zo import encode_zo, lift_labeling
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, project_tangent, retract
 from .mrf import MrfInstance, energy, unary_argmax_labeling
-from .staircase import SolverParams, staircase_solve
-
-
-@dataclass
-class FusesResult:
-    labeling: np.ndarray
-    f_relaxed: float
-    f_rounded: float
-    subopt_bound: float
-    certified: bool
-    rank_history: list = field(default_factory=list)
-    lower_bound: float = -math.inf
-    min_eig: float = float("nan")
-    offset: float = 0.0
-    wall_time: float = 0.0
-    timings: dict = field(default_factory=dict)
+from .staircase import SolveResult, SolverParams, staircase_solve
 
 
 def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
@@ -57,7 +42,7 @@ def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
 
 def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
                 seed: int = 0, init: str = "random",
-                verbose: bool = False) -> FusesResult:
+                verbose: bool = False) -> SolveResult:
     """Full pipeline; init is "random" (default, no initial guess needed) or
     "unary" (lift the unary-argmax labeling, nudged by a small tangent)."""
     t0 = time.perf_counter()
@@ -86,7 +71,7 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
     lower_bound = res.lower_bound + enc.offset
     f_rounded = energy(mrf, labeling)
     t_end = time.perf_counter()
-    return FusesResult(
+    return SolveResult(
         labeling=labeling,
         f_relaxed=f_relaxed,
         f_rounded=f_rounded,
@@ -96,7 +81,6 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
         lower_bound=lower_bound,
         min_eig=res.min_eig,
         offset=enc.offset,
-        wall_time=t_end - t0,
         timings={
             "encode_s": t_encode - t0,
             "solve_s": t_solve - t_encode,

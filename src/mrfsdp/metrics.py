@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,16 +30,7 @@ class MetricsReport:
     notes: list = field(default_factory=list)
 
     def to_doc(self) -> dict:
-        return {
-            "percent_optimal_labels": self.percent_optimal_labels,
-            "relaxation_gap_pct": self.relaxation_gap_pct,
-            "rounding_gap_pct": self.rounding_gap_pct,
-            "relaxation_gap_raw_pct": self.relaxation_gap_raw_pct,
-            "rounding_gap_raw_pct": self.rounding_gap_raw_pct,
-            "label_agreement_pct": self.label_agreement_pct,
-            "wall_times": self.wall_times,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def percent_agreement(a, b) -> float:

@@ -54,6 +54,11 @@ def _first_duplicate(keys):
     return int(s[dup.argmax()]) if dup.any() else None
 
 
+def _is_size(v) -> bool:
+    """An int or numpy integer, not a bool (isinstance(True, int) holds)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class MrfInstance:
     """Immutable MRF instance over validated, read-only term columns."""
@@ -68,9 +73,9 @@ class MrfInstance:
     edge_weight: np.ndarray = ()
 
     def __post_init__(self):
-        if not isinstance(self.num_nodes, (int, np.integer)) or self.num_nodes < 1:
+        if not _is_size(self.num_nodes) or self.num_nodes < 1:
             raise InvalidInputError("num_nodes must be a positive integer")
-        if not isinstance(self.num_labels, (int, np.integer)) or self.num_labels < 2:
+        if not _is_size(self.num_labels) or self.num_labels < 2:
             raise InvalidInputError("num_labels must be an integer >= 2")
         for names, dtype in ((_INDEX_COLUMNS, np.int64), (_WEIGHT_COLUMNS, np.float64)):
             for name in names:

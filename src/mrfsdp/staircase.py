@@ -33,9 +33,9 @@ bound, as in SE-Sync (Rosen et al., arXiv 1612.07386):
   resumes at rank r + 1.  Otherwise the staircase stops uncertified.
 
 Default tolerances follow the reference parameterization: gradient norm
-1e-2 (the sign-vector pipeline overrides to 1e-3), eigenvalue tolerance
-1e-2, relative decrease 1e-5, 500 outer iterations, initial radius 1,
-radius factors 0.25 / 2.5, 2000 CG iterations, eta 0.9.
+1e-2 (the sign-vector pipeline tightens it, see dars.DARS_SOLVER_PARAMS),
+eigenvalue tolerance 1e-2, relative decrease 1e-5, 500 outer iterations,
+initial radius 1, radius factors 0.25 / 2.5, 2000 CG iterations, eta 0.9.
 """
 
 from __future__ import annotations
@@ -130,6 +130,34 @@ class StaircaseResult:
     certified: bool = False
     lower_bound: float = -math.inf
     min_eig: float = float("nan")
+
+
+@dataclass
+class SolveResult:
+    """What fuses_solve and dars_solve return: a labeling, its energy
+    f_rounded and subopt_bound >= f_rounded - f_opt.  Fields that belong to
+    the other method hold None."""
+
+    labeling: np.ndarray
+    f_relaxed: float
+    f_rounded: float
+    subopt_bound: float
+    certified: bool
+    rank_history: list = field(default_factory=list)
+    offset: float = 0.0
+    timings: dict = field(default_factory=dict)
+    # staircase certificate (fuses)
+    lower_bound: float | None = None
+    min_eig: float | None = None
+    # dual ascent (dars)
+    dual_bound: float | None = None
+    dual_converged: bool | None = None
+    dual_iterations: int | None = None
+    constraint_residual_max: float | None = None
+    dual_value_history: list | None = None
+    residual_history: list | None = None
+    primal_certified_history: list | None = None
+    divergence_warning: bool | None = None
 
 
 def _inner(a, b) -> float:

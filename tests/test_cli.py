@@ -1,11 +1,19 @@
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mrfsdp import brute_force, encode_pm, encode_zo
-from mrfsdp.cli import main, run_from_config
+from mrfsdp import (
+    DARS_SOLVER_PARAMS,
+    DualParams,
+    SolverParams,
+    brute_force,
+    encode_pm,
+    encode_zo,
+)
+from mrfsdp.cli import _build_config, build_parser, main, run_from_config
 from mrfsdp.formats import (
     load_instance,
     load_labeling,
@@ -244,3 +252,96 @@ def test_unknown_method_rejected_by_parser(small_instance):
     with pytest.raises(SystemExit) as err:
         run_cli("solve", "--instance", small_instance, "--method", "magic")
     assert err.value.code == 2
+
+
+# --- result-document layout and solver flags --------------------------------
+
+def _key_paths(doc, prefix=""):
+    paths = set()
+    for key, value in doc.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, prefix + key + ".")
+    return paths
+
+
+_COMMON_KEYS = {
+    "schema", "method", "error", "labeling", "staircase", "dual",
+    "instance", "instance.path", "instance.sha256", "instance.num_nodes",
+    "instance.num_labels",
+    "config", "config.method", "config.seed",
+    "objectives", "objectives.f_rounded", "objectives.f_relaxed",
+    "objectives.subopt_bound", "objectives.dual_bound", "objectives.offset",
+    "flags", "flags.certified", "flags.dual_converged",
+    "flags.divergence_warning",
+}
+_SOLVER_KEYS = {"config.solver"} | {
+    f"config.solver.{f.name}" for f in fields(SolverParams)}
+_EXPECTED_KEYS = {
+    "fuses": _COMMON_KEYS | _SOLVER_KEYS | {
+        "config.init", "staircase.rank_history", "staircase.lower_bound",
+        "staircase.min_eig"},
+    "dars": _COMMON_KEYS | _SOLVER_KEYS | {"config.dual"} | {
+        f"config.dual.{f.name}" for f in fields(DualParams)} | {
+        "staircase.rank_history", "dual.iterations",
+        "dual.constraint_residual_max", "dual.residual_history",
+        "dual.dual_value_history"},
+    "icm": _COMMON_KEYS | {"config.icm", "config.icm.init",
+                           "config.icm.max_sweeps"},
+    "exact": _COMMON_KEYS | {"config.budget", "states_enumerated"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(_EXPECTED_KEYS))
+def test_solve_document_key_set(method, small_instance, tmp_path):
+    out = tmp_path / f"{method}.json"
+    assert run_cli("solve", "--instance", small_instance, "--method", method,
+                   "--out", out) == 0
+    doc = strip_timing(load_result(str(out)))
+    assert _key_paths(doc) == _EXPECTED_KEYS[method]
+
+
+# (config block, field, flag) for every solver and dual-ascent flag
+_PARAM_FLAGS = [("solver", f.name, "--" + f.name.replace("_", "-"))
+                for f in fields(SolverParams)] + [
+    ("dual", name, "--dual-" + name.replace("_", "-"))
+    for name in ("step_size", "max_iterations", "grad_tol")]
+
+
+def _param_flags(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return [action.option_strings for group in sub._action_groups
+            if group.title in ("solver parameters", "dual ascent parameters")
+            for action in group._group_actions]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_param_flags_one_per_field(command):
+    assert sorted(_param_flags(command)) == sorted(
+        [flag] for _, _, flag in _PARAM_FLAGS)
+
+
+def _config(method, *flags):
+    args = build_parser().parse_args(
+        ["solve", "--instance", "x.json", "--method", method, *flags])
+    return _build_config(method, args, 0)
+
+
+def test_default_configs_are_the_param_dataclasses():
+    assert _config("fuses")["solver"] == asdict(SolverParams())
+    assert _config("dars")["solver"] == asdict(DARS_SOLVER_PARAMS)
+    assert _config("dars")["dual"] == asdict(DualParams())
+
+
+@pytest.mark.parametrize("block,name,flag", _PARAM_FLAGS,
+                         ids=[flag for _, _, flag in _PARAM_FLAGS])
+def test_param_flag_changes_only_its_field(block, name, flag):
+    for method in ("dars",) if block == "dual" else ("fuses", "dars"):
+        base = _config(method)
+        default = base[block][name]
+        value = default + 1 if isinstance(default, int) else default / 2
+        config = _config(method, flag, str(value))
+        got = config[block].pop(name)
+        assert got == value and type(got) is type(default)
+        base[block].pop(name)
+        assert config == base

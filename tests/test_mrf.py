@@ -151,6 +151,9 @@ def _edges(i, j, weight):
         # columns are one-dimensional, weights real
         dict(num_nodes=3, num_labels=2, **_edges([[0]], [[1]], [[1.0]])),
         dict(num_nodes=3, num_labels=2, **_unary([0], [0], ["heavy"])),
+        # sizes are integers, not bools
+        dict(num_nodes=True, num_labels=2),
+        dict(num_nodes=3, num_labels=True),
     ],
 )
 def test_instance_validation_errors(kwargs):
