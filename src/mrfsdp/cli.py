@@ -172,17 +172,15 @@ def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> di
         labeling, f = icm(mrf, init, max_sweeps=icm_cfg.get("max_sweeps", 100))
         payload["labeling"] = [int(v) for v in labeling]
         payload["objectives"]["f_rounded"] = f
-        payload["timing"] = {"solve_s": time.perf_counter() - t0,
-                             "total_s": time.perf_counter() - t0}
     elif method == "exact":
         res = brute_force(mrf, budget=config.get("budget", DEFAULT_BUDGET))
         payload["labeling"] = [int(v) for v in res.labeling]
         payload["objectives"]["f_rounded"] = res.f_opt
         payload["states_enumerated"] = res.states_enumerated
-        payload["timing"] = {"solve_s": time.perf_counter() - t0,
-                             "total_s": time.perf_counter() - t0}
     else:
         raise InvalidInputError(f"unknown method {method!r}")
+    elapsed = time.perf_counter() - t0
+    payload["timing"] = {"solve_s": elapsed, "total_s": elapsed}
     return payload
 
 

@@ -17,8 +17,9 @@ gradient is the tangent projection of 2 M R.  The Riemannian Hessian at R is
 
 with G = 2 M R, w_i = <G_i, R_i> on the sphere rows and B the bottom block.
 w and sym(G_B B^T) depend on R alone, so _hessian_operator computes them once
-per iterate and returns a map V -> Hess f(R)[V] that costs one sparse product
-and one in-place projection per call.
+per iterate (or takes w from a caller that already has it, see
+_sphere_curvature) and returns a map V -> Hess f(R)[V] that costs one sparse
+product and one in-place projection per call.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def retract(shape: ManifoldShape, R, tangent) -> np.ndarray:
     out = R + V
     ns = shape.n_sphere_rows
     if ns:
-        norms = np.linalg.norm(out[:ns], axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", out[:ns], out[:ns]))
         if np.any(norms < _SPHERE_COLLAPSE_TOL):
             raise DegenerateStepError(
                 "retraction collapsed a sphere row", last_point=R
@@ -214,15 +215,24 @@ def riemannian_gradient(M, shape: ManifoldShape, R) -> np.ndarray:
     return project_tangent(shape, R, 2.0 * (M @ R))
 
 
-def _hessian_operator(shape: ManifoldShape, R, M, euclid_grad):
+def _sphere_curvature(shape: ManifoldShape, R, euclid_grad) -> np.ndarray:
+    """w_i = <G_i, R_i> on the sphere rows, for the ambient gradient G."""
+    ns = shape.n_sphere_rows
+    return np.einsum("ij,ij->i", euclid_grad[:ns], R[:ns])
+
+
+def _hessian_operator(shape: ManifoldShape, R, M, euclid_grad, w=None):
     """Riemannian Hessian of trace(M R R^T) at R, as a map V -> Hess f(R)[V].
 
-    euclid_grad is the ambient gradient 2 M R.  The curvature terms w and
-    sym(G_B B^T) are computed here, once per point; each application is one
-    product M V, the corrections, and an in-place tangent projection.
+    euclid_grad is the ambient gradient 2 M R.  The curvature terms w (see
+    _sphere_curvature; pass it when already computed) and sym(G_B B^T) are
+    computed once per point; each application is one product M V, the
+    corrections, and an in-place tangent projection.
     """
     ns = shape.n_sphere_rows
-    w = np.einsum("ij,ij->i", euclid_grad[:ns], R[:ns])[:, None] if ns else None
+    if w is None:
+        w = _sphere_curvature(shape, R, euclid_grad)
+    w = w[:, None]
     S = None
     if shape.bottom_block_rows:
         S = euclid_grad[ns:] @ R[ns:].T
@@ -231,7 +241,7 @@ def _hessian_operator(shape: ManifoldShape, R, M, euclid_grad):
     def apply(V):
         W = M @ V
         W *= 2.0
-        if w is not None:
+        if ns:
             W[:ns] -= w * V[:ns]
         if S is not None:
             W[ns:] -= S @ V[ns:]

@@ -1,9 +1,17 @@
 """Truncated-Newton trust-region solver and the rank staircase.
 
 tnt_minimize drives trace(M R R^T) down over the product manifold with a
-Steihaug-Toint truncated-CG inner solve.  staircase_solve wraps it in a
-Burer-Monteiro rank staircase certified by a dual (Lagrange-multiplier)
-bound, as in SE-Sync (Rosen et al., arXiv 1612.07386):
+preconditioned Steihaug-Toint truncated-CG inner solve.  The preconditioner
+is one positive scalar per row, c_i = max(2 M_ii - w_i, 1e-2 max_j |2 M_jj -
+w_j|) on sphere row i (w_i = <(2 M R)_i, R_i>, so 2 M_ii - w_i is the
+Hessian's diagonal there), the sphere rows' mean on every bottom-block row,
+all divided by their mean; a per-row scalar keeps r / c tangent.  The trust
+region is measured in the norm ||s||_c = sqrt(<s, c s>), as in Riemannian
+trust regions with a preconditioner (Absil, Baker, Gallivan, FoCM 2007).
+
+staircase_solve wraps TNT in a Burer-Monteiro rank staircase certified by a
+dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
+1612.07386):
 
 * at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol (and a
   relative decrease 1e4x below rel_func_decrease_tol), so the multipliers
@@ -35,7 +43,8 @@ bound, as in SE-Sync (Rosen et al., arXiv 1612.07386):
 Default tolerances follow the reference parameterization: gradient norm
 1e-2 (the sign-vector pipeline tightens it, see dars.DARS_SOLVER_PARAMS),
 eigenvalue tolerance 1e-2, relative decrease 1e-5, 500 outer iterations,
-initial radius 1, radius factors 0.25 / 2.5, 2000 CG iterations, eta 0.9.
+initial radius 1 (in the c-norm), radius factors 0.25 / 2.5, 2000 CG
+iterations, eta 0.9.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .manifold import (
     ManifoldShape,
     _as_rng,
     _hessian_operator,
+    _sphere_curvature,
     check_symmetric,
     project_tangent,
     random_point,
@@ -69,6 +79,10 @@ _ACCEPT_RATIO = 0.1
 _VERY_SUCCESSFUL_RATIO = 0.9
 _CG_THETA = 0.5
 _MIN_RADIUS = 1e-14
+# floor of the CG preconditioner, relative to its largest |entry|: a row
+# whose Hessian diagonal is tiny or negative would otherwise get a huge step
+# or make the preconditioner indefinite
+_PRECON_FLOOR = 1e-2
 # TNT tolerances before a certificate, relative to grad_norm_tol and
 # rel_func_decrease_tol: the gap f - lower_bound grows with the gradient
 # norm at R, and ARPACK stalls on S at loosely converged points
@@ -164,56 +178,78 @@ def _inner(a, b) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
 
-def _to_boundary(s, d, radius) -> float:
-    """Positive tau with ||s + tau d|| = radius (requires ||s|| <= radius)."""
-    a = _inner(d, d)
-    b = 2.0 * _inner(s, d)
-    c = _inner(s, s) - radius * radius
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    return (-b + math.sqrt(disc)) / (2.0 * a)
+def _preconditioner(shape: ManifoldShape, diag_M, w) -> np.ndarray:
+    """Per-row scalars c > 0 of mean 1, shaped (rows, 1), from the Hessian's
+    diagonal 2 M_ii - w_i on the sphere rows (floored at _PRECON_FLOOR times
+    its largest |entry|); the bottom block shares the sphere rows' mean.
+    Scaling M scales w and diag_M alike, so c does not change."""
+    ns = shape.n_sphere_rows
+    c = np.ones(shape.total_rows)
+    if ns:
+        diag = 2.0 * diag_M[:ns] - w
+        scale = float(np.max(np.abs(diag)))
+        if scale > 0.0:  # else M and w vanish on these rows: keep c = 1
+            c[:ns] = np.maximum(diag, _PRECON_FLOOR * scale)
+            c[ns:] = c[:ns].mean()
+            c /= c.mean()
+    return c[:, None]
 
 
-def _steihaug(grad, hess_vec, radius, max_iters, eta):
-    """Truncated CG on the trust-region model; stops on negative curvature,
-    the boundary, or eta-based residual reduction.
+def _steihaug(grad, hess_vec, precon, radius, max_iters, eta):
+    """Preconditioned truncated CG (Steihaug-Toint) on the trust-region
+    model; stops on negative curvature, the boundary ||s||_c = radius, or
+    eta-based reduction of the residual's Euclidean norm.
+
+    precon holds one positive scalar per row (broadcast over columns); each
+    iteration takes z = r / precon.  <s, c s>, <s, c d> and <d, c d> follow
+    scalar recurrences (Conn, Gould, Toint), so the boundary test touches no
+    array; precon = 1 gives plain Steihaug-Toint.
 
     Returns (s, Hs, hit_boundary, iterations).  CG keeps the model gradient
     r = grad + H s, so Hs = r - grad comes for free; a boundary or
     negative-curvature exit at s + tau d adds tau H d.  hess_vec is applied
-    once per iteration and never to s itself.  s, r and d are updated in
+    once per iteration and never to s itself.  s, r, z and d are updated in
     place.
     """
     s = np.zeros_like(grad)
-    s_new = np.empty_like(grad)
     r = grad.copy()
-    d = -grad
-    rtr = _inner(r, r)
-    r0 = math.sqrt(rtr)
+    z = r / precon
+    d = -z
+    rz = _inner(r, z)
+    r0 = math.sqrt(_inner(r, r))
     target = r0 * min(eta, r0 ** _CG_THETA)
+    radius2 = radius * radius
+    sCs, sCd, dCd = 0.0, 0.0, rz
     for k in range(max_iters):
         Hd = hess_vec(d)
         dHd = _inner(d, Hd)
         if dHd > 0.0:
-            alpha = rtr / dHd
-            np.multiply(d, alpha, out=s_new)
-            s_new += s
-        if dHd <= 0.0 or math.sqrt(_inner(s_new, s_new)) >= radius:
-            tau = _to_boundary(s, d, radius)
+            alpha = rz / dHd
+            sCs_new = sCs + alpha * (2.0 * sCd + alpha * dCd)
+        if dHd <= 0.0 or sCs_new >= radius2:
+            disc = max(sCd * sCd + dCd * (radius2 - sCs), 0.0)
+            tau = (math.sqrt(disc) - sCd) / dCd
             d *= tau
             s += d
             Hd *= tau
             r -= grad
             r += Hd
             return s, r, True, k + 1
+        np.multiply(d, alpha, out=z)
+        s += z
         Hd *= alpha
         r += Hd
-        s, s_new = s_new, s
-        rtr_new = _inner(r, r)
-        if math.sqrt(rtr_new) <= target:
+        sCs = sCs_new
+        if math.sqrt(_inner(r, r)) <= target:
             return s, r - grad, False, k + 1
-        d *= rtr_new / rtr
-        d -= r
-        rtr = rtr_new
+        np.divide(r, precon, out=z)
+        rz_new = _inner(r, z)
+        beta = rz_new / rz
+        sCd = beta * (sCd + alpha * dCd)
+        dCd = rz_new + beta * beta * dCd
+        d *= beta
+        d -= z
+        rz = rz_new
     return s, r - grad, False, max_iters
 
 
@@ -222,15 +258,17 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     """Minimize trace(M R R^T) from initial_point.
 
     Returns (point, objective, grad_norm, iterations).  Accepted steps
-    strictly decrease the objective; the radius shrinks by alpha1 on
-    rejected steps and grows by alpha2 on very successful boundary steps.
-    check=False skips the symmetry check of M (for callers that made it).
+    strictly decrease the objective; the radius, measured in the
+    preconditioner's norm ||s||_c (see _preconditioner; c has mean 1, so
+    initial_tr_radius keeps its scale), shrinks by alpha1 on rejected steps
+    and grows by alpha2 on very successful boundary steps.  check=False
+    skips the symmetry check of M (for callers that made it).
 
-    The Hessian operator is built once per iterate (and kept across rejected
-    steps); the model's predicted decrease uses the Hs that truncated CG
-    returns, so each step costs exactly one Hessian-vector product per CG
-    iteration.  M R of an accepted point is the product its objective was
-    evaluated with.
+    The Hessian operator and the preconditioner are built once per iterate
+    from one w (and kept across rejected steps); the model's predicted
+    decrease uses the Hs that truncated CG returns, so each step costs
+    exactly one Hessian-vector product per CG iteration.  M R of an accepted
+    point is the product its objective was evaluated with.
     """
     if check:
         check_symmetric(M)
@@ -241,15 +279,19 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     f = float(np.sum(R * MR))
     if not math.isfinite(f):
         raise NumericalFailureError("non-finite objective at start", last_point=R)
+    diag_M = M.diagonal()
     egrad = 2.0 * MR
     grad = project_tangent(shape, R, egrad)
     gnorm = math.sqrt(_inner(grad, grad))
-    hess = _hessian_operator(shape, R, M, egrad)
+    w = _sphere_curvature(shape, R, egrad)
+    hess = _hessian_operator(shape, R, M, egrad, w)
+    precon = _preconditioner(shape, diag_M, w)
     radius = params.initial_tr_radius
     iterations = 0
     while iterations < params.max_tnt_iterations and gnorm >= params.grad_norm_tol:
-        s, Hs, hit_boundary, _ = _steihaug(
-            grad, hess, radius, params.max_cg_iterations, params.cg_success_eta
+        s, Hs, hit_boundary, cg_iters = _steihaug(
+            grad, hess, precon, radius, params.max_cg_iterations,
+            params.cg_success_eta,
         )
         predicted = -(_inner(grad, s) + 0.5 * _inner(s, Hs))
         R_new = retract(shape, R, s)
@@ -268,11 +310,14 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
             egrad = 2.0 * MR
             grad = project_tangent(shape, R, egrad)
             gnorm = math.sqrt(_inner(grad, grad))
-            hess = _hessian_operator(shape, R, M, egrad)
+            w = _sphere_curvature(shape, R, egrad)
+            hess = _hessian_operator(shape, R, M, egrad, w)
+            precon = _preconditioner(shape, diag_M, w)
             if verbose:
                 logger.info(
-                    "tnt iter=%d accepted=1 f=%.12g grad_norm=%.6g radius=%.6g rank=%d",
-                    iterations, f, gnorm, radius, shape.rank,
+                    "tnt iter=%d accepted=1 f=%.12g grad_norm=%.6g radius=%.6g "
+                    "rank=%d cg=%d",
+                    iterations, f, gnorm, radius, shape.rank, cg_iters,
                 )
             if rel_decrease < params.rel_func_decrease_tol:
                 break
@@ -280,8 +325,9 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
             radius *= params.tr_decrease_factor
             if verbose:
                 logger.info(
-                    "tnt iter=%d accepted=0 f=%.12g grad_norm=%.6g radius=%.6g rank=%d",
-                    iterations, f, gnorm, radius, shape.rank,
+                    "tnt iter=%d accepted=0 f=%.12g grad_norm=%.6g radius=%.6g "
+                    "rank=%d cg=%d",
+                    iterations, f, gnorm, radius, shape.rank, cg_iters,
                 )
             if radius < _MIN_RADIUS:
                 break

@@ -254,6 +254,15 @@ def test_unknown_method_rejected_by_parser(small_instance):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("method", ["icm", "exact"])
+def test_solve_timing_is_one_clock_span(method, small_instance, tmp_path):
+    out = tmp_path / f"{method}.json"
+    assert run_cli("solve", "--instance", small_instance, "--method", method,
+                   "--out", out) == 0
+    timing = load_result(str(out))["timing"]
+    assert timing["solve_s"] == timing["total_s"] > 0.0
+
+
 # --- result-document layout and solver flags --------------------------------
 
 def _key_paths(doc, prefix=""):

@@ -18,7 +18,8 @@ from mrfsdp import (
     tangent_residual,
     trace_quadratic,
 )
-from mrfsdp.manifold import _hessian_operator
+from mrfsdp.manifold import _hessian_operator, _sphere_curvature
+from mrfsdp.staircase import _preconditioner
 
 SHAPES = [ManifoldShape(8, 0, 3), ManifoldShape(6, 3, 4), ManifoldShape(5, 2, 2)]
 
@@ -250,3 +251,17 @@ def test_hessian_operator_matches_reference_formula(shape, rng):
                 assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
                 assert tangent_residual(shape, R, H) <= 1e-12
             assert np.array_equal(V, V_before)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_preconditioned_tangent_stays_tangent(shape, rng):
+    # truncated CG's z = r / c: one scalar per sphere row, one shared by
+    # the bottom block
+    M = random_symmetric(rng, shape.total_rows)
+    R = random_point(shape, rng)
+    c = _preconditioner(shape, M.diagonal(),
+                        _sphere_curvature(shape, R, 2.0 * (M @ R)))
+    assert np.ptp(c) > 0.0
+    for _ in range(3):
+        r = random_tangent(shape, R, rng)
+        assert tangent_residual(shape, R, r / c) <= 1e-12

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import mrfsdp.staircase as staircase
@@ -12,6 +13,7 @@ from mrfsdp import (
     SolverParams,
     encode_zo,
     fuses_round,
+    fuses_solve,
     generate_grid_instance,
     project_tangent,
     random_point,
@@ -20,7 +22,7 @@ from mrfsdp import (
     trace_quadratic,
     zo_to_labeling,
 )
-from mrfsdp.manifold import _hessian_operator
+from mrfsdp.manifold import _hessian_operator, _sphere_curvature
 
 from conftest import make_instance
 
@@ -214,36 +216,57 @@ def test_symmetry_checked_once_per_staircase(monkeypatch):
     assert len(calls) == 2
 
 
-def _indefinite_operator():
-    """The Hessian operator of a small indefinite M at a random point, and
-    its tangent eigenvectors (columns, as flattened points) by eigenvalue."""
+def _indefinite_operator(scaled):
+    """The Hessian operator of a small indefinite M at a random point, a CG
+    preconditioner c (ones, or random positive scalars: one per sphere row,
+    one shared by the bottom block), and the tangent eigenvectors of the
+    pencil (H, C) (columns, as flattened points, C-orthonormal) by
+    eigenvalue."""
     rng = np.random.default_rng(3)
     shape = ManifoldShape(6, 2, 3)
     A = rng.standard_normal((8, 8))
     M = sp.csr_matrix((A + A.T) / 2.0)
     R = random_point(shape, rng)
     hess = _hessian_operator(shape, R, M, 2.0 * (M @ R))
+    c = np.ones((shape.total_rows, 1))
+    if scaled:
+        c[:6, 0] = rng.uniform(0.2, 5.0, 6)
+        c[6:] = rng.uniform(0.2, 5.0)
     P = np.array([project_tangent(shape, R, e.reshape(R.shape)).ravel()
                   for e in np.eye(R.size)])
     w, U = np.linalg.eigh(P)
     U = U[:, w > 0.5]  # orthonormal basis of the tangent space
     H = U.T @ np.column_stack([hess(u.reshape(R.shape)).ravel() for u in U.T])
-    lam, Y = np.linalg.eigh(0.5 * (H + H.T))
+    C = U.T @ (np.broadcast_to(c, R.shape).ravel()[:, None] * U)
+    lam, Y = scipy.linalg.eigh(0.5 * (H + H.T), C)
     assert U.shape[1] == shape.tangent_dim and lam[0] < 0.0 < lam[-1]
-    return hess, R.shape, lam, U @ Y
+    return hess, c, R.shape, lam, U @ Y
 
 
-@pytest.mark.parametrize("exit_kind", ["interior", "boundary", "negative_curvature"])
-def test_steihaug_returns_hessian_of_step(exit_kind):
-    hess, point_shape, lam, E = _indefinite_operator()
+_EXIT_KINDS = ["interior", "boundary", "negative_curvature"]
+
+
+# identity preconditioner under the bare exit kind, a random one as "-scaled"
+@pytest.mark.parametrize(
+    "exit_kind,scaled",
+    [(kind, False) for kind in _EXIT_KINDS] + [(kind, True) for kind in _EXIT_KINDS],
+    ids=_EXIT_KINDS + [kind + "-scaled" for kind in _EXIT_KINDS])
+def test_steihaug_returns_hessian_of_step(exit_kind, scaled):
+    # grad = C E 1 on generalized eigenvectors E (H E = C E lam), so the
+    # Newton step is -E_pos (1 / lam_pos), of c-norm ||1 / lam_pos||
+    hess, c, point_shape, lam, E = _indefinite_operator(scaled)
+    c_flat = np.broadcast_to(c, point_shape).ravel()
     pos = lam > 0.0
-    c = np.ones(pos.sum())
-    grad = E[:, pos] @ c
+    ones = np.ones(pos.sum())
+    grad = c_flat * (E[:, pos] @ ones)
     radius = 1e6
     if exit_kind == "boundary":
-        radius = 0.5 * np.linalg.norm(c / lam[pos])  # half the Newton step
+        radius = 0.5 * np.linalg.norm(ones / lam[pos])  # half the Newton step
     elif exit_kind == "negative_curvature":
-        grad = grad + E[:, ~pos].sum(axis=1)
+        # at half weight the first direction still has positive curvature
+        # (sum lam_pos + sum lam_neg / 4 > 0), so CG meets the negative
+        # curvature inside its loop
+        grad = grad + c_flat * (0.5 * E[:, ~pos].sum(axis=1))
     applied = []
 
     def hess_vec(d):
@@ -252,14 +275,58 @@ def test_steihaug_returns_hessian_of_step(exit_kind):
         return Hd
 
     s, Hs, hit_boundary, iters = staircase._steihaug(
-        grad.reshape(point_shape), hess_vec, radius, 2000, 1e-6)
+        grad.reshape(point_shape), hess_vec, c, radius, 2000, 1e-6)
     assert iters == len(applied) >= 2
     assert hit_boundary == (exit_kind != "interior")
     assert (applied[-1] <= 0.0) == (exit_kind == "negative_curvature")
     if hit_boundary:
-        assert np.linalg.norm(s) == pytest.approx(radius, rel=1e-12)
+        assert np.sqrt(np.sum(c * s * s)) == pytest.approx(radius, rel=1e-12)
     expected = hess(s)
     assert np.linalg.norm(Hs - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_preconditioner_invariant_to_weight_scale(rng):
+    inst = generate_grid_instance(3, 3, 3, unary_noise=0.3, seed=11)
+    M = encode_zo(inst).Q
+    shape = ManifoldShape(9, 3, 4)
+    R = random_point(shape, rng)
+    cs = []
+    for scale in (1.0, 1e3):
+        w = _sphere_curvature(shape, R, 2.0 * (scale * M @ R))
+        cs.append(staircase._preconditioner(shape, (scale * M).diagonal(), w))
+    c = cs[0]
+    assert c.shape == (12, 1) and np.all(c > 0.0)
+    assert c.mean() == pytest.approx(1.0, rel=1e-12)
+    assert np.ptp(c[:9]) > 0.0 and np.ptp(c[9:]) == 0.0
+    assert cs[1] == pytest.approx(c, rel=1e-12)
+
+
+def _fuses_hessian_products(monkeypatch, instances):
+    applied = []
+
+    def counting_operator(*args):
+        hess = _hessian_operator(*args)
+        return lambda V: applied.append(1) or hess(V)
+
+    with monkeypatch.context() as m:
+        m.setattr(staircase, "_hessian_operator", counting_operator)
+        results = [fuses_solve(inst, seed=0) for inst in instances]
+    return len(applied), results
+
+
+def test_preconditioner_saves_hessian_products(monkeypatch):
+    # summed over eight 10x10 K=5 grids: the saving per grid ranges from
+    # about 1.2x to 1.6x
+    instances = [generate_grid_instance(10, 10, 5, unary_noise=0.3, seed=seed)
+                 for seed in range(8)]
+    n_pre, pre = _fuses_hessian_products(monkeypatch, instances)
+    monkeypatch.setattr(staircase, "_preconditioner",
+                        lambda shape, *_: np.ones((shape.total_rows, 1)))
+    n_plain, plain = _fuses_hessian_products(monkeypatch, instances)
+    assert n_plain >= 1.3 * n_pre
+    for a, b in zip(pre, plain):
+        assert a.certified and b.certified
+        assert np.array_equal(a.labeling, b.labeling)
 
 
 def test_tnt_one_hessian_product_per_cg_iteration(rng, monkeypatch):
