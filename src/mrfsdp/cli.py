@@ -342,6 +342,7 @@ def _bench_cell(size, k, method, args):
             obj = payload["objectives"]
             rec["f_rounded"] = obj["f_rounded"]
             rec["f_relaxed"] = obj.get("f_relaxed")
+            rec["subopt_bound"] = obj["subopt_bound"]
             rec["certified"] = (payload["flags"] or {}).get("certified")
             if exact is not None and exact[0] != 0:
                 f_opt, opt_labels = exact
@@ -362,6 +363,7 @@ _BENCH_COLUMNS = (
     "certified_rate",
     "time_ms_mean", "time_ms_std",
     "f_rounded_mean", "f_rounded_std",
+    "subopt_bound_mean", "subopt_bound_std",
     "rounding_gap_pct_mean", "rounding_gap_pct_std",
     "relaxation_gap_pct_mean", "relaxation_gap_pct_std",
     "percent_optimal_labels_mean", "percent_optimal_labels_std",
@@ -403,8 +405,9 @@ def _cmd_bench(args) -> int:
             "n_runs": len(records), "n_failed": failed,
             "certified_rate": (len(cert) / len(ok)) if ok and m in ("fuses", "dars") else None,
         }
-        for key in ("time_ms", "f_rounded", "rounding_gap_pct",
-                    "relaxation_gap_pct", "percent_optimal_labels"):
+        for key in ("time_ms", "f_rounded", "subopt_bound",
+                    "rounding_gap_pct", "relaxation_gap_pct",
+                    "percent_optimal_labels"):
             mean, std = _mean_std([r.get(key) for r in ok])
             row[f"{key}_mean"] = mean
             row[f"{key}_std"] = std

@@ -11,15 +11,19 @@ metric projection throughout: row normalization for sphere rows and the
 polar factor for the bottom block (projection retractions are second order,
 which the Taylor-remainder tests rely on).  Cost functions are trace
 quadratics f(R) = trace(M R R^T) for sparse symmetric M; the Riemannian
-gradient is the tangent projection of 2 M R.  The Riemannian Hessian at R is
+gradient is the tangent projection of 2 M R.
 
-    Hess f(R)[V] = P_R(2 M V - w * V_sphere - sym(G_B B^T) V_B),
+The Lagrange multipliers of the constraints at R are lambda_i = (M R)_i . R_i
+on the sphere rows and Lambda_B = sym((M R)_B R_B^T) on the bottom block B
+(_multipliers, their only definition).  They give the SE-Sync certificate
+matrix S(R) = M - blkdiag(Diag lambda, Lambda_B) (Rosen et al., arXiv
+1612.07386), and the Riemannian Hessian at R is
 
-with G = 2 M R, w_i = <G_i, R_i> on the sphere rows and B the bottom block.
-w and sym(G_B B^T) depend on R alone, so _hessian_operator computes them once
-per iterate (or takes w from a caller that already has it, see
-_sphere_curvature) and returns a map V -> Hess f(R)[V] that costs one sparse
-product and one in-place projection per call.
+    Hess f(R)[V] = P_R(2 S(R) V)
+
+(Boumal, Voroninski, Bandeira, arXiv 1606.04970).  _hessian_operator takes
+the multipliers once per iterate and returns a map V -> Hess f(R)[V] that
+costs one sparse product and one in-place projection per call.
 """
 
 from __future__ import annotations
@@ -215,36 +219,35 @@ def riemannian_gradient(M, shape: ManifoldShape, R) -> np.ndarray:
     return project_tangent(shape, R, 2.0 * (M @ R))
 
 
-def _sphere_curvature(shape: ManifoldShape, R, euclid_grad) -> np.ndarray:
-    """w_i = <G_i, R_i> on the sphere rows, for the ambient gradient G."""
+def _multipliers(shape: ManifoldShape, R, MR):
+    """The multipliers (lambda, Lambda_B) at R, from MR = M @ R; Lambda_B is
+    None without a bottom block."""
     ns = shape.n_sphere_rows
-    return np.einsum("ij,ij->i", euclid_grad[:ns], R[:ns])
+    lam = np.einsum("ij,ij->i", MR[:ns], R[:ns])
+    Lam_B = None
+    if shape.bottom_block_rows:
+        C = MR[ns:] @ R[ns:].T
+        Lam_B = 0.5 * (C + C.T)
+    return lam, Lam_B
 
 
-def _hessian_operator(shape: ManifoldShape, R, M, euclid_grad, w=None):
-    """Riemannian Hessian of trace(M R R^T) at R, as a map V -> Hess f(R)[V].
+def _hessian_operator(shape: ManifoldShape, R, M, lam, Lam_B):
+    """Riemannian Hessian of trace(M R R^T) at R, as a map V -> P_R(2 S V).
 
-    euclid_grad is the ambient gradient 2 M R.  The curvature terms w (see
-    _sphere_curvature; pass it when already computed) and sym(G_B B^T) are
-    computed once per point; each application is one product M V, the
-    corrections, and an in-place tangent projection.
+    lam and Lam_B are the multipliers at R (see _multipliers), so S V =
+    M V - lam * V_sphere - Lam_B V_B; each application is one product M V,
+    the multiplier terms, and an in-place tangent projection.
     """
     ns = shape.n_sphere_rows
-    if w is None:
-        w = _sphere_curvature(shape, R, euclid_grad)
-    w = w[:, None]
-    S = None
-    if shape.bottom_block_rows:
-        S = euclid_grad[ns:] @ R[ns:].T
-        S = 0.5 * (S + S.T)
+    lam = lam[:, None]
 
     def apply(V):
         W = M @ V
-        W *= 2.0
         if ns:
-            W[:ns] -= w * V[:ns]
-        if S is not None:
-            W[ns:] -= S @ V[ns:]
+            W[:ns] -= lam * V[:ns]
+        if Lam_B is not None:
+            W[ns:] -= Lam_B @ V[ns:]
+        W *= 2.0
         return _project_inplace(shape, R, W)
 
     return apply
@@ -255,4 +258,4 @@ def riemannian_hessian_vec(M, shape: ManifoldShape, R, tangent) -> np.ndarray:
     check_symmetric(M)
     R = _check_point(shape, R)
     V = _check_point(shape, tangent)
-    return _hessian_operator(shape, R, M, 2.0 * (M @ R))(V)
+    return _hessian_operator(shape, R, M, *_multipliers(shape, R, M @ R))(V)

@@ -1,13 +1,14 @@
 """Truncated-Newton trust-region solver and the rank staircase.
 
 tnt_minimize drives trace(M R R^T) down over the product manifold with a
-preconditioned Steihaug-Toint truncated-CG inner solve.  The preconditioner
-is one positive scalar per row, c_i = max(2 M_ii - w_i, 1e-2 max_j |2 M_jj -
-w_j|) on sphere row i (w_i = <(2 M R)_i, R_i>, so 2 M_ii - w_i is the
-Hessian's diagonal there), the sphere rows' mean on every bottom-block row,
-all divided by their mean; a per-row scalar keeps r / c tangent.  The trust
-region is measured in the norm ||s||_c = sqrt(<s, c s>), as in Riemannian
-trust regions with a preconditioner (Absil, Baker, Gallivan, FoCM 2007).
+preconditioned Steihaug-Toint truncated-CG inner solve.  The Hessian is
+P_R(2 S V), with S the certificate matrix below (see manifold), and the
+preconditioner is one positive scalar per row: c_i = max(S_ii, 1e-2 max_j
+|S_jj|) on sphere row i (S_ii = M_ii - lambda_i), the sphere rows' mean on
+every bottom-block row, all divided by their mean (which cancels the
+Hessian's factor 2); a per-row scalar keeps r / c tangent.  The trust region
+is measured in the norm ||s||_c = sqrt(<s, c s>), as in Riemannian trust
+regions with a preconditioner (Absil, Baker, Gallivan, FoCM 2007).
 
 staircase_solve wraps TNT in a Burer-Monteiro rank staircase certified by a
 dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
@@ -16,9 +17,9 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 * at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol (and a
   relative decrease 1e4x below rel_func_decrease_tol), so the multipliers
   read off R are accurate;
-* the multipliers are lambda_i = (M R)_i . R_i on unit rows and
-  Lambda_B = sym((M R)_B R_B^T) on the orthonormal block, and the
-  certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
+* the multipliers (manifold._multipliers) are lambda_i = (M R)_i . R_i on
+  unit rows and Lambda_B = sym((M R)_B R_B^T) on the orthonormal block, and
+  the certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
 * every feasible Y of the SDP (unit diagonal, Y_BB = I, Y psd) has trace
   m, the number of rows, so trace(M Y) = sum(lambda) + tr(Lambda_B) +
   trace(S Y) is at least
@@ -63,7 +64,7 @@ from .manifold import (
     ManifoldShape,
     _as_rng,
     _hessian_operator,
-    _sphere_curvature,
+    _multipliers,
     check_symmetric,
     project_tangent,
     random_point,
@@ -178,17 +179,18 @@ def _inner(a, b) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
 
-def _preconditioner(shape: ManifoldShape, diag_M, w) -> np.ndarray:
-    """Per-row scalars c > 0 of mean 1, shaped (rows, 1), from the Hessian's
-    diagonal 2 M_ii - w_i on the sphere rows (floored at _PRECON_FLOOR times
-    its largest |entry|); the bottom block shares the sphere rows' mean.
-    Scaling M scales w and diag_M alike, so c does not change."""
+def _preconditioner(shape: ManifoldShape, diag_M, lam) -> np.ndarray:
+    """Per-row scalars c > 0 of mean 1, shaped (rows, 1), from the
+    certificate matrix's diagonal S_ii = M_ii - lam_i on the sphere rows
+    (floored at _PRECON_FLOOR times its largest |entry|); the bottom block
+    shares the sphere rows' mean.  Scaling M scales lam and diag_M alike, so
+    c does not change."""
     ns = shape.n_sphere_rows
     c = np.ones(shape.total_rows)
     if ns:
-        diag = 2.0 * diag_M[:ns] - w
+        diag = diag_M[:ns] - lam
         scale = float(np.max(np.abs(diag)))
-        if scale > 0.0:  # else M and w vanish on these rows: keep c = 1
+        if scale > 0.0:  # else M and lam vanish on these rows: keep c = 1
             c[:ns] = np.maximum(diag, _PRECON_FLOOR * scale)
             c[ns:] = c[:ns].mean()
             c /= c.mean()
@@ -253,6 +255,16 @@ def _steihaug(grad, hess_vec, precon, radius, max_iters, eta):
     return s, r - grad, False, max_iters
 
 
+def _local_model(shape: ManifoldShape, R, M, MR, diag_M):
+    """TNT's model at R from MR = M @ R: (grad, ||grad||, Hessian operator,
+    CG preconditioner), the last two from one set of multipliers."""
+    grad = project_tangent(shape, R, 2.0 * MR)
+    lam, Lam_B = _multipliers(shape, R, MR)
+    return (grad, math.sqrt(_inner(grad, grad)),
+            _hessian_operator(shape, R, M, lam, Lam_B),
+            _preconditioner(shape, diag_M, lam))
+
+
 def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
                  verbose: bool = False, *, check: bool = True):
     """Minimize trace(M R R^T) from initial_point.
@@ -264,11 +276,11 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     and grows by alpha2 on very successful boundary steps.  check=False
     skips the symmetry check of M (for callers that made it).
 
-    The Hessian operator and the preconditioner are built once per iterate
-    from one w (and kept across rejected steps); the model's predicted
-    decrease uses the Hs that truncated CG returns, so each step costs
-    exactly one Hessian-vector product per CG iteration.  M R of an accepted
-    point is the product its objective was evaluated with.
+    The model (see _local_model) is built once per iterate and kept across
+    rejected steps; its predicted decrease uses the Hs that truncated CG
+    returns, so each step costs exactly one Hessian-vector product per CG
+    iteration.  M R of an accepted point is the product its objective was
+    evaluated with.
     """
     if check:
         check_symmetric(M)
@@ -280,12 +292,7 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     if not math.isfinite(f):
         raise NumericalFailureError("non-finite objective at start", last_point=R)
     diag_M = M.diagonal()
-    egrad = 2.0 * MR
-    grad = project_tangent(shape, R, egrad)
-    gnorm = math.sqrt(_inner(grad, grad))
-    w = _sphere_curvature(shape, R, egrad)
-    hess = _hessian_operator(shape, R, M, egrad, w)
-    precon = _preconditioner(shape, diag_M, w)
+    grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
     radius = params.initial_tr_radius
     iterations = 0
     while iterations < params.max_tnt_iterations and gnorm >= params.grad_norm_tol:
@@ -303,34 +310,22 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         rho = (f - f_new) / predicted if predicted > 0.0 else -math.inf
         accepted = rho >= _ACCEPT_RATIO and f_new < f
         if accepted:
-            rel_decrease = (f - f_new) / max(1.0, abs(f))
+            stop = (f - f_new) / max(1.0, abs(f)) < params.rel_func_decrease_tol
             if rho >= _VERY_SUCCESSFUL_RATIO and hit_boundary:
                 radius *= params.tr_increase_factor
             R, f, MR = R_new, f_new, MR_new
-            egrad = 2.0 * MR
-            grad = project_tangent(shape, R, egrad)
-            gnorm = math.sqrt(_inner(grad, grad))
-            w = _sphere_curvature(shape, R, egrad)
-            hess = _hessian_operator(shape, R, M, egrad, w)
-            precon = _preconditioner(shape, diag_M, w)
-            if verbose:
-                logger.info(
-                    "tnt iter=%d accepted=1 f=%.12g grad_norm=%.6g radius=%.6g "
-                    "rank=%d cg=%d",
-                    iterations, f, gnorm, radius, shape.rank, cg_iters,
-                )
-            if rel_decrease < params.rel_func_decrease_tol:
-                break
+            grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
         else:
             radius *= params.tr_decrease_factor
-            if verbose:
-                logger.info(
-                    "tnt iter=%d accepted=0 f=%.12g grad_norm=%.6g radius=%.6g "
-                    "rank=%d cg=%d",
-                    iterations, f, gnorm, radius, shape.rank, cg_iters,
-                )
-            if radius < _MIN_RADIUS:
-                break
+            stop = radius < _MIN_RADIUS
+        if verbose:
+            logger.info(
+                "tnt iter=%d accepted=%d f=%.12g grad_norm=%.6g radius=%.6g "
+                "rank=%d cg=%d",
+                iterations, accepted, f, gnorm, radius, shape.rank, cg_iters,
+            )
+        if stop:
+            break
     return R, f, gnorm, iterations
 
 
@@ -341,13 +336,10 @@ def _certificate(M, shape: ManifoldShape, R, rng):
     its unit eigenvector, or (Gershgorin bound, -G, None) when ARPACK does
     not converge.
     """
-    ns = shape.n_sphere_rows
-    MR = M @ R
-    lam = np.einsum("ij,ij->i", MR[:ns], R[:ns])
+    lam, Lam_B = _multipliers(shape, R, M @ R)
     blocks = [sp.diags(lam)]
-    if shape.bottom_block_rows:
-        C = MR[ns:] @ R[ns:].T
-        blocks.append(sp.csr_matrix(0.5 * (C + C.T)))
+    if Lam_B is not None:
+        blocks.append(sp.csr_matrix(Lam_B))
     multipliers = sp.block_diag(blocks, format="csr")
     dual_value = float(multipliers.diagonal().sum())
     S = (sp.csr_matrix(M) - multipliers).tocsr()
@@ -362,7 +354,7 @@ def _certificate(M, shape: ManifoldShape, R, rng):
                / (m * shift))
         try:
             mu, vecs = eigsh(shift * sp.identity(m, format="csr") - S, k=1,
-                             which="LA", v0=rng.standard_normal(m),
+                             which="LA", v0=rng.standard_normal(m), rng=rng,
                              ncv=min(m, _EIGSH_NCV), tol=tol,
                              maxiter=_EIGSH_MAXITER)
         except ArpackNoConvergence:

@@ -92,6 +92,21 @@ def test_solve_fuses_deterministic_documents(small_instance, tmp_path):
     assert strip_timing(da) == strip_timing(db)
 
 
+def test_solve_dars_deterministic_documents(tmp_path):
+    # 10x10 K=5: dars certifies through ARPACK, not the dense eigen-solve
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--rows", 10, "--cols", 10, "--labels", 5,
+                   "--noise", 0.3, "--seed", 3, "--out", inst) == 0
+    docs = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"{tag}.json"
+        assert run_cli("solve", "--instance", inst, "--method", "dars",
+                       "--seed", 2, "--out", out) == 0
+        docs.append(json.dumps(strip_timing(load_result(str(out))),
+                               indent=2, sort_keys=True).encode())
+    assert docs[0] == docs[1]
+
+
 def test_solve_fuses_default_config(small_instance, tmp_path):
     out = tmp_path / "f.json"
     run_cli("solve", "--instance", small_instance, "--method", "fuses",
@@ -224,6 +239,10 @@ def test_bench_table_structure(tmp_path):
         assert row["n_failed"] == "0"
         if row["method"] in ("fuses", "dars"):
             assert float(row["relaxation_gap_pct_mean"]) >= -1e-6
+            assert float(row["subopt_bound_mean"]) >= -1e-9
+            assert float(row["subopt_bound_std"]) >= 0.0
+        else:
+            assert row["subopt_bound_mean"] == row["subopt_bound_std"] == ""
 
 
 def test_bench_gap_columns_for_relaxation(tmp_path):

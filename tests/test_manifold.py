@@ -18,8 +18,8 @@ from mrfsdp import (
     tangent_residual,
     trace_quadratic,
 )
-from mrfsdp.manifold import _hessian_operator, _sphere_curvature
-from mrfsdp.staircase import _preconditioner
+from mrfsdp.manifold import _hessian_operator, _multipliers
+from mrfsdp.staircase import _PRECON_FLOOR, _certificate, _preconditioner
 
 SHAPES = [ManifoldShape(8, 0, 3), ManifoldShape(6, 3, 4), ManifoldShape(5, 2, 2)]
 
@@ -242,7 +242,7 @@ def test_hessian_operator_matches_reference_formula(shape, rng):
     M = random_symmetric(rng, shape.total_rows)
     for _ in range(3):
         R = random_point(shape, rng)
-        hess = _hessian_operator(shape, R, M, 2.0 * (M @ R))
+        hess = _hessian_operator(shape, R, M, *_multipliers(shape, R, M @ R))
         for _ in range(3):
             V = random_tangent(shape, R, rng, unit=False)
             V_before = V.copy()
@@ -259,9 +259,48 @@ def test_preconditioned_tangent_stays_tangent(shape, rng):
     # the bottom block
     M = random_symmetric(rng, shape.total_rows)
     R = random_point(shape, rng)
-    c = _preconditioner(shape, M.diagonal(),
-                        _sphere_curvature(shape, R, 2.0 * (M @ R)))
+    c = _preconditioner(shape, M.diagonal(), _multipliers(shape, R, M @ R)[0])
     assert np.ptp(c) > 0.0
     for _ in range(3):
         r = random_tangent(shape, R, rng)
         assert tangent_residual(shape, R, r / c) <= 1e-12
+
+
+def certificate_matrix_reference(M, shape, R):
+    """S = M - blkdiag(Diag lambda, Lambda_B), written out entry by entry:
+    lambda_i = (M R)_i . R_i, Lambda_B = sym((M R)_B R_B^T)."""
+    S = M.toarray()
+    MR = S @ R
+    ns = shape.n_sphere_rows
+    for i in range(ns):
+        S[i, i] -= MR[i] @ R[i]
+    if shape.bottom_block_rows:
+        C = MR[ns:] @ R[ns:].T
+        S[ns:, ns:] -= 0.5 * (C + C.T)
+    return S
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_hessian_preconditioner_and_certificate_share_one_matrix(shape, rng):
+    M = random_symmetric(rng, shape.total_rows)
+    R = random_point(shape, rng)
+    S = certificate_matrix_reference(M, shape, R)
+    lam, Lam_B = _multipliers(shape, R, M @ R)
+    # the certificate's lambda_min is that of this S (dense path at this size)
+    _, theta, _ = _certificate(M, shape, R, np.random.default_rng(0))
+    assert theta == pytest.approx(np.linalg.eigvalsh(S)[0], abs=1e-12)
+    # Hess f(R)[V] = P_R(2 S V)
+    hess = _hessian_operator(shape, R, M, lam, Lam_B)
+    for _ in range(3):
+        V = random_tangent(shape, R, rng, unit=False)
+        ref = project_tangent(shape, R, 2.0 * S @ V)
+        assert np.linalg.norm(hess(V) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the preconditioner is S's floored sphere-row diagonal, mean 1
+    ns = shape.n_sphere_rows
+    d = np.diag(S)[:ns]
+    c_ref = np.empty(shape.total_rows)
+    c_ref[:ns] = np.maximum(d, _PRECON_FLOOR * np.max(np.abs(d)))
+    c_ref[ns:] = c_ref[:ns].mean()
+    c_ref /= c_ref.mean()
+    assert _preconditioner(shape, M.diagonal(), lam)[:, 0] == pytest.approx(
+        c_ref, rel=1e-12)

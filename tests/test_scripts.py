@@ -16,7 +16,6 @@ def load_script(name):
 
 
 @pytest.mark.parametrize("name, argv, rows", [
-    ("scaling_curve", ["--sizes", "3x3,4x4", "--labels", "3"], 2),
     ("gap_trend", ["--sizes", "2x2,3x3", "--seeds", "2"], 2),
 ])
 def test_script_runs(name, argv, rows, capsys):

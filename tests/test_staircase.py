@@ -11,6 +11,7 @@ from mrfsdp import (
     ManifoldShape,
     NumericalFailureError,
     SolverParams,
+    dars_solve,
     encode_zo,
     fuses_round,
     fuses_solve,
@@ -22,7 +23,7 @@ from mrfsdp import (
     trace_quadratic,
     zo_to_labeling,
 )
-from mrfsdp.manifold import _hessian_operator, _sphere_curvature
+from mrfsdp.manifold import _hessian_operator, _multipliers
 
 from conftest import make_instance
 
@@ -187,6 +188,26 @@ def test_certificate_sparse_path_is_seeded():
     assert (a.lower_bound, a.min_eig) == (b.lower_bound, b.min_eig)
 
 
+def test_certificate_repeats_for_one_rng_state(monkeypatch):
+    # the late dars certificate matrices of this 501-row grid make ARPACK
+    # restart; each restart vector must come from rng
+    calls = []
+    certificate = staircase._certificate
+
+    def recording_certificate(M, shape, R, rng):
+        calls.append((M, shape, R))
+        return certificate(M, shape, R, rng)
+
+    monkeypatch.setattr(staircase, "_certificate", recording_certificate)
+    inst = generate_grid_instance(10, 10, 5, unary_noise=0.3, seed=3)
+    dars_solve(inst, seed=2)
+    M, shape, R = calls[-1]
+    assert shape.total_rows > staircase._DENSE_EIG_ROWS
+    a, b = (certificate(M, shape, R, np.random.default_rng(0)) for _ in range(2))
+    assert a[:2] == b[:2]
+    assert np.array_equal(a[2], b[2])
+
+
 def test_certificate_falls_back_to_gershgorin(monkeypatch):
     M, shape = _sparse_instance_cost()
     good = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
@@ -227,7 +248,7 @@ def _indefinite_operator(scaled):
     A = rng.standard_normal((8, 8))
     M = sp.csr_matrix((A + A.T) / 2.0)
     R = random_point(shape, rng)
-    hess = _hessian_operator(shape, R, M, 2.0 * (M @ R))
+    hess = _hessian_operator(shape, R, M, *_multipliers(shape, R, M @ R))
     c = np.ones((shape.total_rows, 1))
     if scaled:
         c[:6, 0] = rng.uniform(0.2, 5.0, 6)
@@ -292,8 +313,8 @@ def test_preconditioner_invariant_to_weight_scale(rng):
     R = random_point(shape, rng)
     cs = []
     for scale in (1.0, 1e3):
-        w = _sphere_curvature(shape, R, 2.0 * (scale * M @ R))
-        cs.append(staircase._preconditioner(shape, (scale * M).diagonal(), w))
+        lam = _multipliers(shape, R, scale * M @ R)[0]
+        cs.append(staircase._preconditioner(shape, (scale * M).diagonal(), lam))
     c = cs[0]
     assert c.shape == (12, 1) and np.all(c > 0.0)
     assert c.mean() == pytest.approx(1.0, rel=1e-12)
