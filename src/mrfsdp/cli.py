@@ -131,7 +131,7 @@ def _solve_payload(res: SolveResult) -> dict:
     }
 
 
-def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> dict:
+def run_from_config(mrf: MrfInstance, config: dict) -> dict:
     """Run a solver as described by a result document's config block.
 
     Returns the payload (labeling, objectives, flags, staircase, dual,
@@ -143,12 +143,11 @@ def run_from_config(mrf: MrfInstance, config: dict, verbose: bool = False) -> di
     if method == "fuses":
         return _solve_payload(fuses_solve(
             mrf, params=SolverParams(**config["solver"]), seed=seed,
-            init=config.get("init", "random"), verbose=verbose))
+            init=config.get("init", "random")))
     if method == "dars":
         return _solve_payload(dars_solve(
             mrf, params=SolverParams(**config["solver"]),
-            dual_params=DualParams(**config["dual"]), seed=seed,
-            verbose=verbose))
+            dual_params=DualParams(**config["dual"]), seed=seed))
     t0 = time.perf_counter()
     payload: dict = {
         "labeling": None,
@@ -234,7 +233,7 @@ def _cmd_solve(args) -> int:
         raise InvalidInputError(f"unknown method {args.method!r}")
     config = _build_config(args.method, args, args.seed)
     try:
-        payload = run_from_config(mrf, config, verbose=args.verbose)
+        payload = run_from_config(mrf, config)
     except (NumericalFailureError, SizeRefusalError) as exc:
         doc = _result_doc(mrf, args.instance, config, {
             "labeling": None,
@@ -266,9 +265,31 @@ def _check_same_instance(docs) -> None:
         raise InvalidInputError("result documents refer to different instances")
 
 
+# what eval reads of a result document; one that records an error needs only
+# the first, for the same-instance check
+_EVAL_KEYS = (("instance", "sha256"), ("method",), ("labeling",),
+              ("objectives", "f_rounded"))
+
+
+def _load_for_eval(path: str) -> dict:
+    doc = formats.load_result(path)
+    for keys in _EVAL_KEYS[:1] if doc.get("error") else _EVAL_KEYS:
+        node = doc
+        for key in keys:
+            if not isinstance(node, dict) or node.get(key) is None:
+                raise InvalidInputError(
+                    f"result document {path} has no {'.'.join(keys)}")
+            node = node[key]
+    return doc
+
+
 def _cmd_eval(args) -> int:
-    docs = [formats.load_result(p) for p in args.results]
-    exact_doc = formats.load_result(args.exact) if args.exact else None
+    docs = [_load_for_eval(p) for p in args.results]
+    exact_doc = _load_for_eval(args.exact) if args.exact else None
+    if exact_doc and exact_doc.get("error"):
+        raise InvalidInputError(
+            f"exact reference {args.exact} records an error: "
+            f"{json.dumps(exact_doc['error'], sort_keys=True)}")
     truth = formats.load_labeling(args.truth) if args.truth else None
     _check_same_instance(docs + ([exact_doc] if exact_doc else []))
     reports = []

@@ -41,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +66,7 @@ class DualParams:
     divergence_patience: int = 50
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.max_iterations < 1 or self.grad_tol <= 0:
+        if any(not (getattr(self, f.name) > 0) for f in fields(self)):
             raise InvalidInputError("dual parameters must be positive")
 
 
@@ -104,23 +104,13 @@ def dual_gradient(enc: PmEncoding, R) -> np.ndarray:
     return w[:-1].reshape(n, k).sum(axis=1) - enc.rhs
 
 
-def _constraint_template(enc: PmEncoding):
-    """COO index template for sum_i lambda_i * sym(U_i)."""
-    n, k = enc.num_nodes, enc.num_labels
-    dim = n * k + 1
-    idx = np.arange(n * k)
-    rows = np.concatenate([idx, np.full(n * k, dim - 1)])
-    cols = np.concatenate([np.full(n * k, dim - 1), idx])
-    node_of = idx // k
-    return rows, cols, node_of, dim
-
-
-def _assemble_l_lambda(enc: PmEncoding, lam, template) -> sp.csr_matrix:
-    rows, cols, node_of, dim = template
-    half = 0.5 * lam[node_of]
-    data = np.concatenate([half, half])
-    S = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-    return (enc.L + S).tocsr()
+def _l_lambda(enc: PmEncoding, lam) -> sp.csr_matrix:
+    """L_lambda = L + sum_i lambda_i * sym(U_i) = L + C + C^T, where C holds
+    lambda_i / 2 at (i K + c, last) for every label c."""
+    nk, dim = enc.num_nodes * enc.num_labels, enc.dim
+    C = sp.csr_matrix((0.5 * np.repeat(lam, enc.num_labels),
+                       (np.arange(nk), np.full(nk, dim - 1))), shape=(dim, dim))
+    return (enc.L + C + C.T).tocsr()
 
 
 def dars_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
@@ -149,8 +139,7 @@ def dars_certificate(result: SolveResult, f_opt: float | None = None,
 
 
 def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
-               dual_params: DualParams | None = None, seed: int = 0,
-               verbose: bool = False) -> SolveResult:
+               dual_params: DualParams | None = None, seed: int = 0) -> SolveResult:
     t0 = time.perf_counter()
     if params is None:
         params = DARS_SOLVER_PARAMS
@@ -159,9 +148,7 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
     enc = encode_pm(mrf)
     t_encode = time.perf_counter()
     n, k = mrf.num_nodes, mrf.num_labels
-    dim = n * k + 1
-    base_shape = ManifoldShape(n_sphere_rows=dim, bottom_block_rows=0, rank=2)
-    template = _constraint_template(enc)
+    shape = ManifoldShape(n_sphere_rows=enc.dim, bottom_block_rows=0, rank=2)
     rng = _as_rng(seed)
 
     lam = np.zeros(n)
@@ -177,11 +164,8 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
     iterations = 0
     for _ in range(dual_params.max_iterations):
         iterations += 1
-        L_lam = _assemble_l_lambda(enc, lam, template)
-        res = staircase_solve(
-            L_lam, base_shape, initial_rank=2, params=params,
-            warm_start=R, seed_or_rng=rng, verbose=verbose,
-        )
+        res = staircase_solve(_l_lambda(enc, lam), shape, params,
+                              warm_start=R, seed_or_rng=rng)
         R = res.R_opt
         rank_history = res.rank_history
         dual_values.append(res.objective - enc.rhs * float(lam.sum()))
@@ -190,11 +174,10 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         grad = dual_gradient(enc, R)
         residual = float(np.max(np.abs(grad))) if n else 0.0
         residuals.append(residual)
-        if verbose:
-            logger.info(
-                "dual iter=%d grad_inf_norm=%.6g primal_objective=%.12g rank=%d",
-                iterations, residual, res.objective, R.shape[1],
-            )
+        logger.info(
+            "dual iter=%d grad_inf_norm=%.6g primal_objective=%.12g rank=%d",
+            iterations, residual, res.objective, R.shape[1],
+        )
         if residual < dual_params.grad_tol:
             converged = True
             break

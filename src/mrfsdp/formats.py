@@ -151,7 +151,9 @@ def _load_json(path: str):
             return json.load(handle)
     except FileNotFoundError as exc:
         raise InvalidInputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -41,8 +41,7 @@ def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
 
 
 def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
-                seed: int = 0, init: str = "random",
-                verbose: bool = False) -> SolveResult:
+                seed: int = 0, init: str = "random") -> SolveResult:
     """Full pipeline; init is "random" (default, no initial guess needed) or
     "unary" (lift the unary-argmax labeling, nudged by a small tangent)."""
     t0 = time.perf_counter()
@@ -51,19 +50,17 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
     enc = encode_zo(mrf)
     t_encode = time.perf_counter()
     n, k = mrf.num_nodes, mrf.num_labels
-    base_shape = ManifoldShape(n_sphere_rows=n, bottom_block_rows=k, rank=k + 1)
+    shape = ManifoldShape(n_sphere_rows=n, bottom_block_rows=k, rank=k + 1)
     rng = _as_rng(seed)
     warm = None
     if init == "unary":
         V = lift_labeling(enc, unary_argmax_labeling(mrf))
         R0 = np.hstack([V, np.zeros((n + k, 1))])
-        shape0 = base_shape.with_rank(k + 1)
-        pert = project_tangent(shape0, R0, 0.01 * rng.standard_normal(R0.shape))
-        warm = retract(shape0, R0, pert)
+        pert = project_tangent(shape, R0, 0.01 * rng.standard_normal(R0.shape))
+        warm = retract(shape, R0, pert)
     elif init != "random":
         raise InvalidInputError(f"unknown init mode {init!r}")
-    res = staircase_solve(enc.Q, base_shape, initial_rank=k + 1, params=params,
-                          warm_start=warm, seed_or_rng=rng, verbose=verbose)
+    res = staircase_solve(enc.Q, shape, params, warm_start=warm, seed_or_rng=rng)
     t_solve = time.perf_counter()
     X = fuses_round(res.R_opt, n, k)
     labeling = X.argmax(axis=1)

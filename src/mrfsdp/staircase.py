@@ -266,7 +266,7 @@ def _local_model(shape: ManifoldShape, R, M, MR, diag_M):
 
 
 def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
-                 verbose: bool = False, *, check: bool = True):
+                 *, check: bool = True):
     """Minimize trace(M R R^T) from initial_point.
 
     Returns (point, objective, grad_norm, iterations).  Accepted steps
@@ -318,12 +318,11 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         else:
             radius *= params.tr_decrease_factor
             stop = radius < _MIN_RADIUS
-        if verbose:
-            logger.info(
-                "tnt iter=%d accepted=%d f=%.12g grad_norm=%.6g radius=%.6g "
-                "rank=%d cg=%d",
-                iterations, accepted, f, gnorm, radius, shape.rank, cg_iters,
-            )
+        logger.info(
+            "tnt iter=%d accepted=%d f=%.12g grad_norm=%.6g radius=%.6g "
+            "rank=%d cg=%d",
+            iterations, accepted, f, gnorm, radius, shape.rank, cg_iters,
+        )
         if stop:
             break
     return R, f, gnorm, iterations
@@ -381,29 +380,26 @@ def _escape_step(M, shape, R, f, direction):
     return None
 
 
-def staircase_solve(M, base_shape: ManifoldShape, initial_rank: int,
-                    params: SolverParams, warm_start=None, seed_or_rng=0,
-                    verbose: bool = False) -> StaircaseResult:
+def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
+                    warm_start=None, seed_or_rng=0) -> StaircaseResult:
     """Rank staircase: optimize, bound by the dual certificate, else lift.
 
-    Each rank appends one (rank, TNT iterations, gradient norm) entry to
-    rank_history.  The result carries the last rank's point, objective,
-    lower_bound and min_eig; certified means f - lower_bound is within
-    _CERTIFY_RTOL * max(1, |f|).
+    The start rank is shape.rank (from a random point), unless warm_start
+    is given: then its column count is.  Each rank appends one (rank, TNT
+    iterations, gradient norm) entry to rank_history.  The result carries
+    the last rank's point, objective, lower_bound and min_eig; certified
+    means f - lower_bound is within _CERTIFY_RTOL * max(1, |f|).  Progress
+    goes to this module's logger at INFO, one line per TNT step and per
+    rank.
     """
     check_symmetric(M)
     rng = _as_rng(seed_or_rng)
-    if base_shape.bottom_block_rows and initial_rank < base_shape.bottom_block_rows:
-        raise InvalidInputError("initial rank below bottom block size")
-    if initial_rank < 1:
-        raise InvalidInputError("initial rank must be >= 1")
     if warm_start is not None:
         R = np.array(warm_start, dtype=float, copy=True)
-        if R.shape[0] != base_shape.total_rows:
+        if R.shape[0] != shape.total_rows:
             raise InvalidInputError("warm start row count mismatch")
-        shape = base_shape.with_rank(R.shape[1])
+        shape = shape.with_rank(R.shape[1])
     else:
-        shape = base_shape.with_rank(initial_rank)
         R = random_point(shape, rng)
     refined = replace(
         params,
@@ -413,19 +409,17 @@ def staircase_solve(M, base_shape: ManifoldShape, initial_rank: int,
 
     result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(params.max_staircase_steps):
-        R, f, gnorm, iters = tnt_minimize(M, shape, R, refined,
-                                          verbose=verbose, check=False)
+        R, f, gnorm, iters = tnt_minimize(M, shape, R, refined, check=False)
         lower, theta, v = _certificate(M, shape, R, rng)
         result.rank_history.append((shape.rank, iters, gnorm))
         result.R_opt, result.objective = R, f
         result.lower_bound, result.min_eig = lower, theta
         result.certified = f - lower <= _CERTIFY_RTOL * max(1.0, abs(f))
-        if verbose:
-            logger.info(
-                "staircase step=%d rank=%d f=%.12g grad_norm=%.6g "
-                "lower_bound=%.12g min_eig=%.6g certified=%d", step,
-                shape.rank, f, gnorm, lower, theta, result.certified,
-            )
+        logger.info(
+            "staircase step=%d rank=%d f=%.12g grad_norm=%.6g "
+            "lower_bound=%.12g min_eig=%.6g certified=%d", step,
+            shape.rank, f, gnorm, lower, theta, result.certified,
+        )
         if (result.certified or v is None or theta >= -params.eig_tol
                 or step == params.max_staircase_steps - 1):
             break

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mrfsdp
 from mrfsdp import (
     DARS_SOLVER_PARAMS,
     DualParams,
@@ -190,6 +195,43 @@ def test_eval_mismatched_instances_rejected(tmp_path):
     assert run_cli("eval", "--results", ra, rb) == 2
 
 
+def test_eval_document_without_instance_exit_2(small_instance, tmp_path,
+                                                capsys):
+    out = tmp_path / "icm.json"
+    run_cli("solve", "--instance", small_instance, "--method", "icm",
+            "--out", out)
+    doc = json.loads(out.read_text())
+    del doc["instance"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("eval", "--results", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_directory_path_exit_2(tmp_path, capsys):
+    assert run_cli("eval", "--results", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_errored_exact_reference_exit_2(tmp_path, capsys):
+    inst = tmp_path / "big.json"
+    run_cli("gen", "--rows", 6, "--cols", 6, "--labels", 3, "--out", inst)
+    exact, icm_out = tmp_path / "exact.json", tmp_path / "icm.json"
+    assert run_cli("solve", "--instance", inst, "--method", "exact",
+                   "--out", exact) == 4
+    assert load_result(str(exact))["error"]["type"] == "SizeRefusalError"
+    run_cli("solve", "--instance", inst, "--method", "icm", "--out", icm_out)
+    capsys.readouterr()
+    assert run_cli("eval", "--results", icm_out, "--exact", exact) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_dars_nan_step_size_exit_2(small_instance, capsys):
+    assert run_cli("solve", "--instance", small_instance, "--method", "dars",
+                   "--dual-step-size", "nan") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_missing_instance_exit_2(tmp_path):
     assert run_cli("solve", "--instance", tmp_path / "nope.json",
                    "--method", "icm") == 2
@@ -271,6 +313,48 @@ def test_unknown_method_rejected_by_parser(small_instance):
     with pytest.raises(SystemExit) as err:
         run_cli("solve", "--instance", small_instance, "--method", "magic")
     assert err.value.code == 2
+
+
+def _cli_in_fresh_process(*argv):
+    """(exit code, stderr) of the CLI run by a new interpreter, where
+    --verbose configures logging as it does for the console script."""
+    src = str(Path(mrfsdp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from mrfsdp.cli import main; sys.exit(main())",
+         *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+_PROGRESS = ("tnt iter=", "staircase step=", "dual iter=")
+_BENCH_ARGV = ("bench", "--sizes", "2x2", "--labels", "2", "--seeds", "1",
+               "--methods")
+
+
+@pytest.mark.parametrize("argv, prefixes", [
+    (("solve", "--method", "fuses"), _PROGRESS[:2]),
+    (("solve", "--method", "dars"), _PROGRESS),
+    (_BENCH_ARGV + ("fuses,dars",), _PROGRESS),
+], ids=["solve-fuses", "solve-dars", "bench"])
+def test_verbose_streams_progress(argv, prefixes, small_instance):
+    if argv[0] == "solve":
+        argv += ("--instance", small_instance)
+    code, err = _cli_in_fresh_process("--verbose", *argv)
+    assert code == 0
+    lines = err.splitlines()
+    for prefix in prefixes:
+        assert any(line.startswith(prefix) for line in lines), prefix
+
+
+def test_quiet_without_verbose(small_instance):
+    for argv in (("solve", "--method", "dars", "--instance", small_instance),
+                 _BENCH_ARGV + ("fuses,dars",)):
+        code, err = _cli_in_fresh_process(*argv)
+        assert code == 0
+        assert not any(p in err for p in _PROGRESS)
 
 
 @pytest.mark.parametrize("method", ["icm", "exact"])

@@ -3,6 +3,7 @@ import pytest
 
 from mrfsdp import (
     DualParams,
+    InvalidInputError,
     MrfInstance,
     SolverParams,
     brute_force,
@@ -16,7 +17,7 @@ from mrfsdp import (
     labeling_to_pm,
     staircase_solve,
 )
-from mrfsdp.dars import _assemble_l_lambda, _constraint_template
+from mrfsdp.dars import _l_lambda
 from mrfsdp.manifold import ManifoldShape
 
 from conftest import make_instance, random_instance
@@ -224,17 +225,38 @@ def test_constraint_residual_reasserted_on_result():
 
 def test_warm_start_matches_cold_start_objective():
     enc = encode_pm(TEST_INSTANCE)
-    template = _constraint_template(enc)
     lam = 0.01 * np.arange(9, dtype=float)
-    L_lam = _assemble_l_lambda(enc, lam, template)
+    L_lam = _l_lambda(enc, lam)
     shape = ManifoldShape(enc.dim, 0, 2)
     params = SolverParams(grad_norm_tol=1e-3)
-    cold = staircase_solve(L_lam, shape, 2, params, seed_or_rng=0)
-    warm_init = staircase_solve(enc.L, shape, 2, params, seed_or_rng=1)
-    warm = staircase_solve(L_lam, shape, 2, params,
+    cold = staircase_solve(L_lam, shape, params, seed_or_rng=0)
+    warm_init = staircase_solve(enc.L, shape, params, seed_or_rng=1)
+    warm = staircase_solve(L_lam, shape, params,
                            warm_start=warm_init.R_opt, seed_or_rng=2)
     assert cold.certified and warm.certified
     assert warm.objective <= cold.objective + 1e-4
+
+
+def test_l_lambda_adds_symmetrized_constraints():
+    enc = encode_pm(TEST_INSTANCE)
+    lam = 0.01 * np.arange(1, 10, dtype=float)
+    ref = enc.L.toarray()
+    k, last = enc.num_labels, enc.dim - 1
+    for i, li in enumerate(lam):
+        ref[i * k:(i + 1) * k, last] += li / 2
+        ref[last, i * k:(i + 1) * k] += li / 2
+    assert np.array_equal(_l_lambda(enc, lam).toarray(), ref)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_size", float("nan")), ("step_size", 0.0),
+    ("max_iterations", 0), ("grad_tol", float("nan")), ("grad_tol", -1.0),
+    ("divergence_factor", -1.0), ("divergence_factor", float("nan")),
+    ("divergence_patience", 0),
+])
+def test_dual_params_validation(field, value):
+    with pytest.raises(InvalidInputError):
+        DualParams(**{field: value})
 
 
 def test_divergence_monitor_flags_sustained_growth():
@@ -315,7 +337,7 @@ def test_verbose_per_iteration_log(caplog):
     import logging
 
     with caplog.at_level(logging.INFO, logger="mrfsdp.dars"):
-        res = dars_solve(TEST_INSTANCE, seed=0, verbose=True)
+        res = dars_solve(TEST_INSTANCE, seed=0)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "mrfsdp.dars" and r.getMessage().startswith("dual ")]
     assert len(lines) == res.dual_iterations

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,11 @@ def test_mixed_sign_bounds_hold_at_any_scale():
         for scale in (1e-3, 1.0, 1e3):
             inst = _scaled(base, scale)
             _assert_bound_holds(inst, fuses_solve(inst, seed=t))
+
+
+def test_progress_follows_logger_level(caplog):
+    inst = generate_grid_instance(2, 2, 2, unary_noise=0.3, seed=1)
+    with caplog.at_level(logging.INFO, logger="mrfsdp.staircase"):
+        fuses_solve(inst, seed=0)
+    assert any(r.getMessage().startswith("staircase step=")
+               for r in caplog.records)

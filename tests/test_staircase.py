@@ -93,7 +93,7 @@ def test_tnt_accepted_steps_strictly_decrease(rng, caplog):
     shape = ManifoldShape(9, 2, 3)
     R0 = random_point(shape, rng)
     with caplog.at_level(logging.INFO, logger="mrfsdp.staircase"):
-        tnt_minimize(enc.Q, shape, R0, SolverParams(), verbose=True)
+        tnt_minimize(enc.Q, shape, R0, SolverParams())
     accepted = []
     for record in caplog.records:
         fields = dict(kv.split("=") for kv in record.getMessage().split()[1:])
@@ -117,8 +117,7 @@ def test_staircase_unary_only_certifies_first_rank():
     inst = make_instance(4, 3, unary)
     enc = encode_zo(inst)
     shape = ManifoldShape(4, 3, 4)
-    res = staircase_solve(enc.Q, shape, initial_rank=4, params=SolverParams(),
-                          seed_or_rng=0)
+    res = staircase_solve(enc.Q, shape, SolverParams(), seed_or_rng=0)
     assert res.certified
     assert len(res.rank_history) == 1
     assert res.rank_history[0][0] == 4
@@ -132,8 +131,7 @@ def test_staircase_escape_two_node_coupling():
     # must lift to rank 2 and escape the saddle to reach the optimum at -2
     M = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     shape = ManifoldShape(2, 0, 1)
-    res = staircase_solve(M, shape, initial_rank=1, params=SolverParams(),
-                          seed_or_rng=1)
+    res = staircase_solve(M, shape, SolverParams(), seed_or_rng=1)
     assert res.certified
     assert res.objective == pytest.approx(-2.0, abs=1e-6)
     assert len(res.rank_history) == 2
@@ -147,8 +145,7 @@ def test_staircase_certifies_optimal_rank1_start_via_lift_probe():
     # without a lift
     M = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     shape = ManifoldShape(2, 0, 1)
-    res = staircase_solve(M, shape, initial_rank=1, params=SolverParams(),
-                          seed_or_rng=3)
+    res = staircase_solve(M, shape, SolverParams(), seed_or_rng=3)
     assert res.certified
     assert res.objective == pytest.approx(-2.0)
     assert len(res.rank_history) == 1
@@ -158,17 +155,9 @@ def test_staircase_objective_matches_point(rng):
     inst = generate_grid_instance(2, 3, 2, unary_noise=0.3, seed=4)
     enc = encode_zo(inst)
     shape = ManifoldShape(6, 2, 3)
-    res = staircase_solve(enc.Q, shape, initial_rank=3, params=SolverParams(),
-                          seed_or_rng=rng)
+    res = staircase_solve(enc.Q, shape, SolverParams(), seed_or_rng=rng)
     assert res.objective == pytest.approx(
         trace_quadratic(enc.Q, res.R_opt), rel=1e-9)
-
-
-def test_staircase_rejects_bad_initial_rank():
-    M = sp.csr_matrix((5, 5))
-    with pytest.raises(InvalidInputError):
-        staircase_solve(M, ManifoldShape(3, 2, 2), initial_rank=1,
-                        params=SolverParams())
 
 
 def _sparse_instance_cost():
@@ -181,8 +170,8 @@ def _sparse_instance_cost():
 def test_certificate_sparse_path_is_seeded():
     M, shape = _sparse_instance_cost()
     assert shape.total_rows > staircase._DENSE_EIG_ROWS
-    a = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
-    b = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    a = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
+    b = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
     assert a.certified
     assert a.lower_bound <= a.objective
     assert (a.lower_bound, a.min_eig) == (b.lower_bound, b.min_eig)
@@ -210,11 +199,11 @@ def test_certificate_repeats_for_one_rng_state(monkeypatch):
 
 def test_certificate_falls_back_to_gershgorin(monkeypatch):
     M, shape = _sparse_instance_cost()
-    good = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    good = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
     # one restart of a 3-vector Krylov basis cannot converge
     monkeypatch.setattr(staircase, "_EIGSH_MAXITER", 1)
     monkeypatch.setattr(staircase, "_EIGSH_NCV", 3)
-    res = staircase_solve(M, shape, 4, SolverParams(), seed_or_rng=2)
+    res = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
     assert not res.certified
     assert len(res.rank_history) == 1
     # theta := -G, the Gershgorin bound max_i sum_j |S_ij| on |lambda_min(S)|
@@ -230,8 +219,8 @@ def test_symmetry_checked_once_per_staircase(monkeypatch):
     monkeypatch.setattr(staircase, "check_symmetric",
                         lambda M: calls.append(1) or check(M))
     M = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    res = staircase_solve(M, ManifoldShape(2, 0, 1), initial_rank=1,
-                          params=SolverParams(), seed_or_rng=1)
+    res = staircase_solve(M, ManifoldShape(2, 0, 1), SolverParams(),
+                          seed_or_rng=1)
     assert len(res.rank_history) == 2 and len(calls) == 1
     tnt_minimize(M, ManifoldShape(2, 0, 2), res.R_opt, SolverParams())
     assert len(calls) == 2
