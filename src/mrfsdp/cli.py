@@ -342,7 +342,7 @@ def _bench_reference(rows, cols, k, noise, seed, budget):
     return res.f_opt, tuple(int(v) for v in res.labeling)
 
 
-def _bench_cell(size, k, method, args):
+def _bench_cell(size, k, config, args):
     rows_, cols_ = size
     records = []
     for s in range(args.seeds):
@@ -358,7 +358,7 @@ def _bench_cell(size, k, method, args):
         rec = {"seed": seed, "error": None}
         try:
             t0 = time.perf_counter()
-            payload = run_from_config(inst, _build_config(method, args, seed))
+            payload = run_from_config(inst, dict(config, seed=seed))
             rec["time_ms"] = 1000.0 * (time.perf_counter() - t0)
             obj = payload["objectives"]
             rec["f_rounded"] = obj["f_rounded"]
@@ -412,9 +412,11 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}")
+    # built before any run, so a bad solver flag is an input error here
+    configs = {m: _build_config(m, args, args.seed) for m in methods}
     args.with_exact = "exact" in methods or args.gaps
     cells = [(size, k, m) for size in sizes for k in labels for m in methods]
-    all_records = [_bench_cell(size, k, m, args) for size, k, m in cells]
+    all_records = [_bench_cell(size, k, configs[m], args) for size, k, m in cells]
     lines = ["\t".join(_BENCH_COLUMNS)]
     for (size, k, m), records in zip(cells, all_records):
         ok = [r for r in records if r["error"] is None]

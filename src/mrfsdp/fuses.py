@@ -1,9 +1,12 @@
 """Binary-matrix relaxation pipeline: encode, staircase at rank K+1, round.
 
-The relaxed problem minimizes trace(Q R R^T) over N unit-norm rows plus an
-orthonormal K-row bottom block.  The staircase's dual certificate (see
-mrfsdp.staircase) bounds the relaxation, and so the discrete optimum, from
-below at whatever point it stops, so with lower_bound = that bound + offset
+The relaxed problem minimizes trace(Q R R^T) over N unit-norm rows plus a
+K-row block with orthonormal rows.  trace(Q R R^T) is invariant under
+R -> R Q for orthogonal Q, so the block is held at the fixed anchor block
+B0 = [I_K 0] and only the N unit rows move.  The staircase's dual
+certificate (see mrfsdp.staircase) bounds the relaxation, and so the
+discrete optimum, from below at whatever point it stops, so with
+lower_bound = that bound + offset
 
     f_rounded - f_opt <= subopt_bound = f_rounded - lower_bound
 

@@ -1,29 +1,35 @@
-"""Product manifold of unit-norm rows with an optional orthonormal block.
+"""Product of unit spheres, with an optional fixed anchor block.
 
 Points are (n_sphere_rows + bottom_block_rows) x rank matrices R whose first
 n_sphere_rows rows have unit Euclidean norm and whose trailing block B (when
-present) satisfies B B^T = I.  This is the feasible set of the low-rank
-factorizations used by both relaxations: diag(R R^T) = 1 rows, plus the
-orthonormal bottom block for the binary-matrix relaxation.
+present) is a fixed anchor B0 with orthonormal rows (random_point uses
+B0 = [I_K 0]).  This is the feasible set of the low-rank factorizations used
+by both relaxations: diag(R R^T) = 1 rows, plus, for the binary-matrix
+relaxation, a block with B B^T = I.  Costs trace(M R R^T) do not change
+under R -> R Q for orthogonal Q, so every orthonormal block is a rotation of
+B0 away and holding B at B0 loses nothing (the O(r) quotient of the
+Burer-Monteiro factorization: Journee, Bach, Absil, Sepulchre, SIAM J.
+Optim. 2010).  Tangent vectors vanish on the block rows, so the manifold is
+a product of spheres (Manopt's oblique manifold) in every case.
 
 All operations use the embedded (Frobenius) metric.  The retraction is
-metric projection throughout: row normalization for sphere rows and the
-polar factor for the bottom block (projection retractions are second order,
-which the Taylor-remainder tests rely on).  Cost functions are trace
-quadratics f(R) = trace(M R R^T) for sparse symmetric M; the Riemannian
-gradient is the tangent projection of 2 M R.
+metric projection: row normalization of the sphere rows (projection
+retractions are second order, which the Taylor-remainder tests rely on).
+Cost functions are trace quadratics f(R) = trace(M R R^T) for sparse
+symmetric M; the Riemannian gradient is the tangent projection of 2 M R.
 
 The Lagrange multipliers of the constraints at R are lambda_i = (M R)_i . R_i
-on the sphere rows and Lambda_B = sym((M R)_B R_B^T) on the bottom block B
+on the sphere rows and Lambda_B = sym((M R)_B R_B^T) on the block B
 (_multipliers, their only definition).  They give the SE-Sync certificate
 matrix S(R) = M - blkdiag(Diag lambda, Lambda_B) (Rosen et al., arXiv
-1612.07386), and the Riemannian Hessian at R is
+1612.07386) of the SDP with Y_BB = I, and the Riemannian Hessian at R is
 
-    Hess f(R)[V] = P_R(2 S(R) V)
+    Hess f(R)[V] = P_R(2 S(R) V) = P_R(2 (M V - lambda * V_sphere))
 
-(Boumal, Voroninski, Bandeira, arXiv 1606.04970).  _hessian_operator takes
-the multipliers once per iterate and returns a map V -> Hess f(R)[V] that
-costs one sparse product and one in-place projection per call.
+(Boumal, Voroninski, Bandeira, arXiv 1606.04970; V_B = 0, so Lambda_B drops
+out).  _hessian_operator takes lambda once per iterate and returns a map
+V -> Hess f(R)[V] that costs one sparse product and one in-place projection
+per call.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class ManifoldShape:
             raise InvalidInputError("rank must be >= 1")
         if self.bottom_block_rows and self.rank < self.bottom_block_rows:
             raise InvalidInputError(
-                "orthonormal rows need rank >= bottom_block_rows"
+                "the anchor block needs rank >= bottom_block_rows"
             )
 
     @property
@@ -62,8 +68,7 @@ class ManifoldShape:
 
     @property
     def tangent_dim(self) -> int:
-        k = self.bottom_block_rows
-        return self.n_sphere_rows * (self.rank - 1) + k * self.rank - k * (k + 1) // 2
+        return self.n_sphere_rows * (self.rank - 1)
 
     def with_rank(self, rank: int) -> "ManifoldShape":
         return ManifoldShape(self.n_sphere_rows, self.bottom_block_rows, rank)
@@ -84,28 +89,14 @@ def _check_point(shape: ManifoldShape, R) -> np.ndarray:
     return R
 
 
-def _orthonormal_rows(C: np.ndarray) -> np.ndarray:
-    """Row-orthonormal factor of C via thin QR with positive-diagonal fix."""
-    q, r = np.linalg.qr(C.T)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return (q * signs[None, :]).T
-
-
-def _polar_rows(C: np.ndarray) -> np.ndarray:
-    """Closest row-orthonormal matrix to C (polar factor via thin SVD)."""
-    u, svals, vt = np.linalg.svd(C, full_matrices=False)
-    if svals[-1] < _SPHERE_COLLAPSE_TOL:
-        raise DegenerateStepError("bottom block lost rank during retraction")
-    return u @ vt
-
-
 def random_point(shape: ManifoldShape, seed_or_rng=0) -> np.ndarray:
-    """Gaussian rows normalized to the sphere; Gaussian bottom block
-    orthonormalized.  Deterministic per seed."""
+    """Gaussian rows normalized to the sphere above the anchor block
+    B0 = [I_K 0].  Deterministic per seed."""
     rng = _as_rng(seed_or_rng)
-    R = rng.standard_normal((shape.total_rows, shape.rank))
     ns = shape.n_sphere_rows
+    R = np.empty((shape.total_rows, shape.rank))
+    R[:ns] = rng.standard_normal((ns, shape.rank))
+    R[ns:] = np.eye(shape.bottom_block_rows, shape.rank)
     norms = np.linalg.norm(R[:ns], axis=1, keepdims=True)
     # resample any (measure-zero) degenerate row
     while np.any(norms < _SPHERE_COLLAPSE_TOL):
@@ -113,8 +104,6 @@ def random_point(shape: ManifoldShape, seed_or_rng=0) -> np.ndarray:
         R[:ns][bad] = rng.standard_normal((bad.sum(), shape.rank))
         norms = np.linalg.norm(R[:ns], axis=1, keepdims=True)
     R[:ns] /= norms
-    if shape.bottom_block_rows:
-        R[ns:] = _orthonormal_rows(R[ns:])
     return R
 
 
@@ -132,7 +121,8 @@ def manifold_residual(shape: ManifoldShape, R) -> float:
 
 
 def tangent_residual(shape: ManifoldShape, R, V) -> float:
-    """Max violation of the tangency conditions at R."""
+    """Max violation of the tangency conditions at R (block rows of V are
+    zero)."""
     R = _check_point(shape, R)
     V = _check_point(shape, V)
     ns = shape.n_sphere_rows
@@ -140,8 +130,7 @@ def tangent_residual(shape: ManifoldShape, R, V) -> float:
     if ns:
         res = float(np.max(np.abs(np.einsum("ij,ij->i", V[:ns], R[:ns]))))
     if shape.bottom_block_rows:
-        B, W = R[ns:], V[ns:]
-        res = max(res, float(np.max(np.abs(W @ B.T + B @ W.T))))
+        res = max(res, float(np.max(np.abs(V[ns:]))))
     return res
 
 
@@ -151,11 +140,7 @@ def _project_inplace(shape: ManifoldShape, R: np.ndarray, V: np.ndarray) -> np.n
     if ns:
         dots = np.einsum("ij,ij->i", V[:ns], R[:ns])
         V[:ns] -= dots[:, None] * R[:ns]
-    if shape.bottom_block_rows:
-        B = R[ns:]
-        S = V[ns:] @ B.T
-        S = 0.5 * (S + S.T)
-        V[ns:] -= S @ B
+    V[ns:] = 0.0
     return V
 
 
@@ -169,8 +154,8 @@ def project_tangent(shape: ManifoldShape, R, ambient) -> np.ndarray:
 
 
 def retract(shape: ManifoldShape, R, tangent) -> np.ndarray:
-    """Metric-projection retraction: normalize sphere rows of R + V, take the
-    polar factor of the bottom block.  retract(R, 0) returns R exactly."""
+    """Metric-projection retraction: normalize the sphere rows of R + V; the
+    block stays R's.  retract(R, 0) returns R exactly."""
     R = _check_point(shape, R)
     V = np.asarray(tangent, dtype=float)
     if V.shape != R.shape:
@@ -186,8 +171,7 @@ def retract(shape: ManifoldShape, R, tangent) -> np.ndarray:
                 "retraction collapsed a sphere row", last_point=R
             )
         out[:ns] /= norms[:, None]
-    if shape.bottom_block_rows:
-        out[ns:] = _polar_rows(out[ns:])
+    out[ns:] = R[ns:]
     return out
 
 
@@ -231,12 +215,14 @@ def _multipliers(shape: ManifoldShape, R, MR):
     return lam, Lam_B
 
 
-def _hessian_operator(shape: ManifoldShape, R, M, lam, Lam_B):
+def _hessian_operator(shape: ManifoldShape, R, M, lam):
     """Riemannian Hessian of trace(M R R^T) at R, as a map V -> P_R(2 S V).
 
-    lam and Lam_B are the multipliers at R (see _multipliers), so S V =
-    M V - lam * V_sphere - Lam_B V_B; each application is one product M V,
-    the multiplier terms, and an in-place tangent projection.
+    lam is the sphere rows' multiplier at R (see _multipliers); tangent
+    vectors vanish on the block, so S V = M V - lam * V_sphere on the
+    sphere rows and the projection zeroes the block rows.  Each application
+    is one product M V, the multiplier term, and an in-place tangent
+    projection.
     """
     ns = shape.n_sphere_rows
     lam = lam[:, None]
@@ -245,8 +231,6 @@ def _hessian_operator(shape: ManifoldShape, R, M, lam, Lam_B):
         W = M @ V
         if ns:
             W[:ns] -= lam * V[:ns]
-        if Lam_B is not None:
-            W[ns:] -= Lam_B @ V[ns:]
         W *= 2.0
         return _project_inplace(shape, R, W)
 
@@ -258,4 +242,4 @@ def riemannian_hessian_vec(M, shape: ManifoldShape, R, tangent) -> np.ndarray:
     check_symmetric(M)
     R = _check_point(shape, R)
     V = _check_point(shape, tangent)
-    return _hessian_operator(shape, R, M, *_multipliers(shape, R, M @ R))(V)
+    return _hessian_operator(shape, R, M, _multipliers(shape, R, M @ R)[0])(V)

@@ -4,11 +4,12 @@ tnt_minimize drives trace(M R R^T) down over the product manifold with a
 preconditioned Steihaug-Toint truncated-CG inner solve.  The Hessian is
 P_R(2 S V), with S the certificate matrix below (see manifold), and the
 preconditioner is one positive scalar per row: c_i = max(S_ii, 1e-2 max_j
-|S_jj|) on sphere row i (S_ii = M_ii - lambda_i), the sphere rows' mean on
-every bottom-block row, all divided by their mean (which cancels the
-Hessian's factor 2); a per-row scalar keeps r / c tangent.  The trust region
-is measured in the norm ||s||_c = sqrt(<s, c s>), as in Riemannian trust
-regions with a preconditioner (Absil, Baker, Gallivan, FoCM 2007).
+|S_jj|) on sphere row i (S_ii = M_ii - lambda_i), divided by the sphere
+rows' mean (which cancels the Hessian's factor 2), and 1 on the anchor
+block, where tangent vectors vanish; a per-row scalar keeps r / c tangent.
+The trust region is measured in the norm ||s||_c = sqrt(<s, c s>), as in
+Riemannian trust regions with a preconditioner (Absil, Baker, Gallivan,
+FoCM 2007).
 
 staircase_solve wraps TNT in a Burer-Monteiro rank staircase certified by a
 dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
@@ -18,8 +19,8 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
   relative decrease 1e4x below rel_func_decrease_tol), so the multipliers
   read off R are accurate;
 * the multipliers (manifold._multipliers) are lambda_i = (M R)_i . R_i on
-  unit rows and Lambda_B = sym((M R)_B R_B^T) on the orthonormal block, and
-  the certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
+  unit rows and Lambda_B = sym((M R)_B R_B^T) on the fixed anchor block B0,
+  and the certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
 * every feasible Y of the SDP (unit diagonal, Y_BB = I, Y psd) has trace
   m, the number of rows, so trace(M Y) = sum(lambda) + tr(Lambda_B) +
   trace(S Y) is at least
@@ -38,8 +39,9 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 * the run is certified when the gap is within 1e-5 max(1, |f|).  Otherwise,
   when theta < -eig_tol, v is a direction of negative curvature one rank up
   (Boumal, Voroninski, Bandeira, arXiv 1606.04970): R gains a zero column
-  and descends along v e_{r+1}^T, a tangent vector there, before TNT
-  resumes at rank r + 1.  Otherwise the staircase stops uncertified.
+  and descends along v e_{r+1}^T, gauge-fixed so the anchor block stays
+  put (see the lift below), before TNT resumes at rank r + 1.  Otherwise
+  the staircase stops uncertified.
 
 Default tolerances follow the reference parameterization: gradient norm
 1e-2 (the sign-vector pipeline tightens it, see dars.DARS_SOLVER_PARAMS),
@@ -180,11 +182,11 @@ def _inner(a, b) -> float:
 
 
 def _preconditioner(shape: ManifoldShape, diag_M, lam) -> np.ndarray:
-    """Per-row scalars c > 0 of mean 1, shaped (rows, 1), from the
-    certificate matrix's diagonal S_ii = M_ii - lam_i on the sphere rows
-    (floored at _PRECON_FLOOR times its largest |entry|); the bottom block
-    shares the sphere rows' mean.  Scaling M scales lam and diag_M alike, so
-    c does not change."""
+    """Per-row scalars c > 0, shaped (rows, 1): the certificate matrix's
+    diagonal S_ii = M_ii - lam_i on the sphere rows (floored at
+    _PRECON_FLOOR times its largest |entry|) over its mean, and 1 on the
+    anchor block, where tangent vectors vanish.  Scaling M scales lam and
+    diag_M alike, so c does not change."""
     ns = shape.n_sphere_rows
     c = np.ones(shape.total_rows)
     if ns:
@@ -192,8 +194,7 @@ def _preconditioner(shape: ManifoldShape, diag_M, lam) -> np.ndarray:
         scale = float(np.max(np.abs(diag)))
         if scale > 0.0:  # else M and lam vanish on these rows: keep c = 1
             c[:ns] = np.maximum(diag, _PRECON_FLOOR * scale)
-            c[ns:] = c[:ns].mean()
-            c /= c.mean()
+            c[:ns] /= c[:ns].mean()
     return c[:, None]
 
 
@@ -259,9 +260,9 @@ def _local_model(shape: ManifoldShape, R, M, MR, diag_M):
     """TNT's model at R from MR = M @ R: (grad, ||grad||, Hessian operator,
     CG preconditioner), the last two from one set of multipliers."""
     grad = project_tangent(shape, R, 2.0 * MR)
-    lam, Lam_B = _multipliers(shape, R, MR)
+    lam = _multipliers(shape, R, MR)[0]
     return (grad, math.sqrt(_inner(grad, grad)),
-            _hessian_operator(shape, R, M, lam, Lam_B),
+            _hessian_operator(shape, R, M, lam),
             _preconditioner(shape, diag_M, lam))
 
 
@@ -425,11 +426,17 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
             break
         # lift: a zero column keeps R R^T (and the objective) unchanged.  v
         # in the new column is orthogonal to every row of the lifted point,
-        # so it is already a unit tangent vector, of curvature 2 theta < 0
+        # of curvature 2 theta < 0, but it moves the anchor block B.  Taking
+        # away R Omega, Omega = B^T v_B e^T - e v_B^T B (e the new unit
+        # column), an infinitesimal rotation that leaves R R^T alone, leaves
+        # v_sphere - R_sphere B^T v_B in the new column and 0 on the block:
+        # tangent, with the same curvature wherever S R ~ 0.  Without a
+        # block the subtracted term is an exact 0
+        ns = shape.n_sphere_rows
         shape = shape.with_rank(shape.rank + 1)
         R_lift = np.hstack([R, np.zeros((R.shape[0], 1))])
         direction = np.zeros_like(R_lift)
-        direction[:, -1] = v
+        direction[:ns, -1] = v[:ns] - R[:ns] @ (R[ns:].T @ v[ns:])
         R = _escape_step(M, shape, R_lift, f, direction)
         if R is None:
             break

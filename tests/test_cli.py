@@ -309,6 +309,19 @@ def test_bench_malformed_tokens_exit_2(tmp_path):
                    "--methods", "solver-nine") == 2
 
 
+@pytest.mark.parametrize("method,flag,value", [
+    ("dars", "--dual-step-size", "nan"),
+    ("fuses", "--grad-norm-tol", "-1"),
+])
+def test_bench_bad_solver_flag_exit_2(method, flag, value, capsys):
+    # rejected before any run, as solve rejects it, not counted as failed runs
+    assert run_cli("bench", "--sizes", "2x2", "--labels", "2", "--methods",
+                   method, "--seeds", 2, flag, value) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_method_rejected_by_parser(small_instance):
     with pytest.raises(SystemExit) as err:
         run_cli("solve", "--instance", small_instance, "--method", "magic")

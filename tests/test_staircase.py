@@ -139,6 +139,41 @@ def test_staircase_escape_two_node_coupling():
     assert res.rank_history[1][0] == 2
 
 
+def test_staircase_lift_keeps_anchor_block():
+    # rank 3 is not enough for this indefinite M: the staircase lifts to 4
+    # along the gauge-fixed escape direction, which leaves the anchor block
+    # B0 = [I_3 0] exactly where random_point put it
+    A = np.random.default_rng(0).standard_normal((12, 12))
+    M = sp.csr_matrix((A + A.T) / 2.0)
+    res = staircase_solve(M, ManifoldShape(9, 3, 3), SolverParams(),
+                          seed_or_rng=0)
+    assert [r for r, _, _ in res.rank_history] == [3, 4]
+    assert res.certified
+    assert res.objective >= res.lower_bound
+    assert res.objective == pytest.approx(-31.7138, abs=1e-4)
+    assert np.array_equal(res.R_opt[9:], np.eye(3, 4))
+
+
+@pytest.mark.parametrize("rows,cols,k", [(3, 3, 3), (10, 10, 5), (25, 40, 19)])
+def test_gauge_fixed_point_is_critical_with_moving_block(rows, cols, k):
+    # trace(Q R R^T) is invariant under R -> R Q, so a critical point with
+    # the block held fixed is one where the block may move too: the
+    # gradient on unit rows plus an orthonormal block B, written out here,
+    # is as small as the one TNT stopped at
+    inst = generate_grid_instance(rows, cols, k, unary_noise=0.3, seed=0)
+    Q, n = encode_zo(inst).Q, inst.num_nodes
+    res = staircase_solve(Q, ManifoldShape(n, k, k + 1), SolverParams(),
+                          seed_or_rng=0)
+    R = res.R_opt
+    G = 2.0 * (Q @ R)
+    full = G.copy()
+    full[:n] -= np.einsum("ij,ij->i", G[:n], R[:n])[:, None] * R[:n]
+    B = R[n:]
+    C = G[n:] @ B.T
+    full[n:] = G[n:] - 0.5 * (C + C.T) @ B
+    assert np.linalg.norm(full) <= 10.0 * res.rank_history[-1][2]
+
+
 def test_staircase_certifies_optimal_rank1_start_via_lift_probe():
     # seed 3 starts at the optimum [1, -1]; its multipliers give a
     # certificate matrix S = [[1, 1], [1, 1]] >= 0, so rank 1 certifies
@@ -228,20 +263,19 @@ def test_symmetry_checked_once_per_staircase(monkeypatch):
 
 def _indefinite_operator(scaled):
     """The Hessian operator of a small indefinite M at a random point, a CG
-    preconditioner c (ones, or random positive scalars: one per sphere row,
-    one shared by the bottom block), and the tangent eigenvectors of the
-    pencil (H, C) (columns, as flattened points, C-orthonormal) by
-    eigenvalue."""
+    preconditioner c (ones, or random positive scalars, one per sphere row;
+    1 on the anchor block, where tangent vectors vanish), and the tangent
+    eigenvectors of the pencil (H, C) (columns, as flattened points,
+    C-orthonormal) by eigenvalue."""
     rng = np.random.default_rng(3)
     shape = ManifoldShape(6, 2, 3)
     A = rng.standard_normal((8, 8))
     M = sp.csr_matrix((A + A.T) / 2.0)
     R = random_point(shape, rng)
-    hess = _hessian_operator(shape, R, M, *_multipliers(shape, R, M @ R))
+    hess = _hessian_operator(shape, R, M, _multipliers(shape, R, M @ R)[0])
     c = np.ones((shape.total_rows, 1))
     if scaled:
         c[:6, 0] = rng.uniform(0.2, 5.0, 6)
-        c[6:] = rng.uniform(0.2, 5.0)
     P = np.array([project_tangent(shape, R, e.reshape(R.shape)).ravel()
                   for e in np.eye(R.size)])
     w, U = np.linalg.eigh(P)
@@ -271,7 +305,9 @@ def test_steihaug_returns_hessian_of_step(exit_kind, scaled):
     grad = c_flat * (E[:, pos] @ ones)
     radius = 1e6
     if exit_kind == "boundary":
-        radius = 0.5 * np.linalg.norm(ones / lam[pos])  # half the Newton step
+        # 0.8 of the Newton step: the first CG step already crosses half of
+        # it, and the boundary exit should come from inside the loop
+        radius = 0.8 * np.linalg.norm(ones / lam[pos])
     elif exit_kind == "negative_curvature":
         # at half weight the first direction still has positive curvature
         # (sum lam_pos + sum lam_neg / 4 > 0), so CG meets the negative
