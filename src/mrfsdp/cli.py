@@ -29,7 +29,7 @@ from .errors import (
     SizeRefusalError,
 )
 from .fuses import fuses_solve
-from .metrics import compute_metrics
+from .metrics import _pct_gap, compute_metrics
 from .mrf import (
     ConstantWeights,
     KernelWeights,
@@ -103,12 +103,14 @@ def _build_config(method: str, args, seed: int) -> dict:
 
 def _solve_payload(res: SolveResult) -> dict:
     """Result-document blocks of a fuses or dars run; staircase carries
-    lower_bound/min_eig when set (fuses), dual is None unless dars."""
+    lower_bound/min_eig/certificate when set (fuses), dual is None unless
+    dars."""
     staircase = {"rank_history": [[int(r), int(i), float(g)]
                                   for r, i, g in res.rank_history]}
     if res.lower_bound is not None:
         staircase.update(lower_bound=float(res.lower_bound),
-                         min_eig=float(res.min_eig))
+                         min_eig=float(res.min_eig),
+                         certificate=res.certificate)
     dual = None
     if res.dual_iterations is not None:
         dual = {
@@ -367,9 +369,10 @@ def _bench_cell(size, k, config, args):
             rec["certified"] = (payload["flags"] or {}).get("certified")
             if exact is not None and exact[0] != 0:
                 f_opt, opt_labels = exact
-                rec["rounding_gap_pct"] = 100.0 * (obj["f_rounded"] - f_opt) / f_opt
+                rec["rounding_gap_pct"] = _pct_gap(obj["f_rounded"] - f_opt, f_opt)
                 if obj.get("f_relaxed") is not None:
-                    rec["relaxation_gap_pct"] = 100.0 * (f_opt - obj["f_relaxed"]) / f_opt
+                    rec["relaxation_gap_pct"] = _pct_gap(f_opt - obj["f_relaxed"],
+                                                         f_opt)
                 rec["percent_optimal_labels"] = 100.0 * float(
                     np.mean(np.asarray(payload["labeling"]) ==
                             np.asarray(opt_labels)))

@@ -11,11 +11,14 @@ lower_bound = that bound + offset
     f_rounded - f_opt <= subopt_bound = f_rounded - lower_bound
 
 holds without knowing f_opt, certified or not.  fuses_solve returns a
-staircase.SolveResult with the certificate fields lower_bound and min_eig
-set and the dual-ascent fields None.  Rounding reads the
-top-right N x K block of R R^T directly as R_top @ R_bottom^T (rank <= r
-already) and takes per-row argmax, ties broken toward the lowest label
-index.
+staircase.SolveResult with the certificate fields lower_bound, min_eig and
+certificate set and the dual-ascent fields None: certificate "schur" means
+the bound came from the sphere block's Gershgorin discs and a K x K Schur
+complement, with min_eig the certified lower bound t* on lambda_min(S);
+"eigsh" means an eigen-solve, with min_eig its Ritz value theta.  Rounding
+reads the top-right N x K block of R R^T directly as R_top @ R_bottom^T
+(rank <= r already) and takes per-row argmax, ties broken toward the lowest
+label index.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
 def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
                 seed: int = 0, init: str = "random") -> SolveResult:
     """Full pipeline; init is "random" (default, no initial guess needed) or
-    "unary" (lift the unary-argmax labeling, nudged by a small tangent)."""
+    "unary" (lift the unary-argmax labeling, nudged by a small tangent).
+    The result's min_eig is the lower bound t* on lambda_min(S) when
+    certificate is "schur", and the Ritz value theta when it is "eigsh"."""
     t0 = time.perf_counter()
     if params is None:
         params = SolverParams()
@@ -80,6 +85,7 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
         rank_history=res.rank_history,
         lower_bound=lower_bound,
         min_eig=res.min_eig,
+        certificate=res.certificate,
         offset=enc.offset,
         timings={
             "encode_s": t_encode - t0,

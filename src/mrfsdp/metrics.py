@@ -3,8 +3,10 @@
 Gaps are computed on offset-restored energies (so "within x% of optimal"
 statements refer to the discrete objective); the same gaps on the raw
 relaxation scale (offset removed from both operands) are reported alongside
-for comparison.  A zero optimal energy makes the percentage undefined; the
-report then carries null and a note, never a zero-filled value.
+for comparison.  Percentages are of |f_opt| (of |f_opt - offset| on the raw
+scale), so a positive gap reads positive whatever the optimum's sign.  A
+zero optimal energy makes the percentage undefined; the report then carries
+null and a note, never a zero-filled value.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ def percent_agreement(a, b) -> float:
 
 
 def _pct_gap(numerator: float, denominator: float):
+    """numerator as a percentage of |denominator|, so a gap keeps its sign
+    when the optimum it is measured against is negative."""
     if denominator == 0.0:
         return None
-    return 100.0 * numerator / denominator
+    return 100.0 * numerator / abs(denominator)
 
 
 def compute_metrics(

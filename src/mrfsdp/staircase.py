@@ -27,15 +27,24 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 
       lower_bound = sum(lambda) + tr(Lambda_B) + min(0, lambda_min(S)) * m,
 
-  for any R at any weight scale.  sum(lambda) + tr(Lambda_B) equals
+  for any R at any weight scale, and so is the same sum with any t <=
+  lambda_min(S) in its place.  sum(lambda) + tr(Lambda_B) equals
   trace(M R R^T) exactly, so the gap f - lower_bound is the eigenvalue term
   alone;
-* lambda_min(S) comes from ARPACK (scipy eigsh, largest eigenvalue of the
-  Gershgorin-shifted G I - S, G = max_i sum_j |S_ij|; a dense solve for
-  m <= 300).  The Ritz pair (theta, v) has residual r = S v - theta v, and
-  the bound uses theta - ||r||, so the eigen-solver's error is charged
-  against it.  If ARPACK does not converge, the Gershgorin bound -G stands
-  in for theta;
+* with an anchor block, _schur_certificate tries first, with no
+  eigen-solve: the near-null directions of S lie along the block, (X b, b)
+  with X = R_s B^T, while Gershgorin discs prove the N x N sphere block
+  A = M_ss - Diag lambda >= mu I, mu > 0.  A Schur complement over A then
+  bounds lambda_min(S) below by t*, the smallest eigenvalue of a K x K
+  pencil (see its docstring).  Its result stands when it is within budget
+  ("certificate=schur"; min_eig is t*);
+* otherwise (and always without a block, as in dars) lambda_min(S) comes
+  from ARPACK (scipy eigsh, largest eigenvalue of the Gershgorin-shifted
+  G I - S, G = max_i sum_j |S_ij|; a dense solve for m <= 300)
+  ("certificate=eigsh"; min_eig is theta).  The Ritz pair (theta, v) has
+  residual r = S v - theta v, and the bound uses theta - ||r||, so the
+  eigen-solver's error is charged against it.  If ARPACK does not converge,
+  the Gershgorin bound -G stands in for theta;
 * the run is certified when the gap is within 1e-5 max(1, |f|).  Otherwise,
   when theta < -eig_tol, v is a direction of negative curvature one rank up
   (Boumal, Voroninski, Bandeira, arXiv 1606.04970): R gains a zero column
@@ -103,6 +112,9 @@ _EIGSH_BUDGET_SHARE = 0.5
 # (one per column of R), which a larger basis resolves in far fewer restarts
 _EIGSH_NCV = 60
 _EIGSH_MAXITER = 1000
+# the Schur certificate's shift t may reach -_SCHUR_ETA mu, where
+# A^-1 (A - t I)^-1 >= A^-2 / (1 + _SCHUR_ETA) still holds
+_SCHUR_ETA = 1e-2
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,7 @@ class StaircaseResult:
     certified: bool = False
     lower_bound: float = -math.inf
     min_eig: float = float("nan")
+    certificate: str | None = None
 
 
 @dataclass
@@ -166,6 +179,7 @@ class SolveResult:
     # staircase certificate (fuses)
     lower_bound: float | None = None
     min_eig: float | None = None
+    certificate: str | None = None
     # dual ascent (dars)
     dual_bound: float | None = None
     dual_converged: bool | None = None
@@ -364,6 +378,68 @@ def _certificate(M, shape: ManifoldShape, R, rng):
     return dual_value + min(0.0, charged) * m, theta, v
 
 
+def _sphere_offdiag_sums(M, ns) -> np.ndarray:
+    """sum_{j != i} |M_ij| over the sphere block (i, j < ns)."""
+    C = sp.coo_matrix(sp.csr_matrix(M)[:ns, :ns])
+    off = C.row != C.col
+    return np.bincount(C.row[off], weights=np.abs(C.data[off]), minlength=ns)
+
+
+def _schur_certificate(shape: ManifoldShape, R, MR, diag_M, offdiag):
+    """Dual bound from the sphere block's Gershgorin discs and K x K
+    algebra, with no eigen-solve; MR = M @ R, offdiag from
+    _sphere_offdiag_sums.
+
+    Writes S = [[A, C], [C^T, D]] (A = M_ss - Diag lambda, C = M_sB,
+    D = M_BB - Lambda_B) and needs A's Gershgorin bound mu > 0.  With
+    X = R_s B^T, E = A X + C, e = ||E||_2 and F = [X; I]^T S [X; I], the
+    Schur complement of A - tI at t = -s' in [-eta mu, 0] is at least
+    F - (e^2/mu) I + s' W, where eta = _SCHUR_ETA, kappa = 1/(1 + eta),
+    s = min(1/2, e/mu) and
+
+        W = I + kappa (1 - s) X^T X - kappa (1/s - 1) (e/mu)^2 I,
+
+    because (A + s'I)^-1 = A^-1 - s' A^-1 (A + s'I)^-1, A^-1 (A + s'I)^-1
+    >= kappa A^-2, A^-1 C = -X + A^-1 E (then ||u + v||^2 >= (1 - s)
+    ||u||^2 - (1/s - 1) ||v||^2), and D - C^T A^-1 C = F - E^T A^-1 E.  So
+    lambda_min(S) >= t* = min(0, lambda_min(F - (e^2/mu) I, W)) whenever
+    W > 0 and t* >= -eta mu.
+
+    Returns (lower_bound, t*), or None when a condition fails or the block
+    B is not orthonormal (then MR B^T is not M [X; I]).
+    """
+    ns = shape.n_sphere_rows
+    B = R[ns:]
+    k = B.shape[0]
+    identity = np.eye(k)
+    if not np.array_equal(B @ B.T, identity):
+        return None
+    lam, Lam_B = _multipliers(shape, R, MR)
+    mu = float(np.min(diag_M[:ns] - lam - offdiag)) if ns else math.inf
+    if not mu > 0.0:
+        return None
+    X = R[:ns] @ B.T
+    Y = MR @ B.T  # M [X; I]
+    E = Y[:ns] - lam[:, None] * X
+    F = X.T @ E + Y[ns:] - Lam_B
+    e2 = max(float(np.linalg.eigvalsh(E.T @ E)[-1]), 0.0)
+    r = math.sqrt(e2) / mu
+    s = min(0.5, r)
+    kappa = 1.0 / (1.0 + _SCHUR_ETA)
+    spill = r - r * r if r <= 0.5 else r * r  # (1/s - 1) r^2
+    W = (1.0 - kappa * spill) * identity + (kappa * (1.0 - s)) * (X.T @ X)
+    try:
+        w = scipy.linalg.eigh(0.5 * (F + F.T) - (e2 / mu) * identity, W,
+                              eigvals_only=True, subset_by_index=[0, 0])
+    except np.linalg.LinAlgError:  # W not positive definite
+        return None
+    t = min(0.0, float(w[0]))
+    if t < -_SCHUR_ETA * mu:
+        return None
+    dual_value = float(lam.sum()) + float(np.trace(Lam_B))
+    return dual_value + t * shape.total_rows, t
+
+
 # relative size of the escape perturbation before backtracking
 _ESCAPE_STEP_FRACTION = 1e-2
 
@@ -388,10 +464,13 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
     The start rank is shape.rank (from a random point), unless warm_start
     is given: then its column count is.  Each rank appends one (rank, TNT
     iterations, gradient norm) entry to rank_history.  The result carries
-    the last rank's point, objective, lower_bound and min_eig; certified
-    means f - lower_bound is within _CERTIFY_RTOL * max(1, |f|).  Progress
-    goes to this module's logger at INFO, one line per TNT step and per
-    rank.
+    the last rank's point, objective, lower_bound, min_eig and
+    certificate; certified means f - lower_bound is within _CERTIFY_RTOL *
+    max(1, |f|).  certificate names the mechanism behind the bound:
+    "schur" (_schur_certificate, tried first when shape has an anchor
+    block; min_eig is its lower bound t* on lambda_min(S)) or "eigsh"
+    (_certificate; min_eig is the Ritz value theta).  Progress goes to this
+    module's logger at INFO, one line per TNT step and per rank.
     """
     check_symmetric(M)
     rng = _as_rng(seed_or_rng)
@@ -408,18 +487,32 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
         rel_func_decrease_tol=params.rel_func_decrease_tol * _REFINE_DECREASE_FACTOR,
     )
 
+    offdiag = None
+    if shape.bottom_block_rows:
+        offdiag = _sphere_offdiag_sums(M, shape.n_sphere_rows)
+        diag_M = M.diagonal()
+
     result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(params.max_staircase_steps):
         R, f, gnorm, iters = tnt_minimize(M, shape, R, refined, check=False)
-        lower, theta, v = _certificate(M, shape, R, rng)
+        budget = _CERTIFY_RTOL * max(1.0, abs(f))
+        schur = None
+        if offdiag is not None:
+            schur = _schur_certificate(shape, R, M @ R, diag_M, offdiag)
+        if schur is not None and f - schur[0] <= budget:
+            (lower, theta), v, mechanism = schur, None, "schur"
+        else:
+            (lower, theta, v), mechanism = _certificate(M, shape, R, rng), "eigsh"
         result.rank_history.append((shape.rank, iters, gnorm))
         result.R_opt, result.objective = R, f
         result.lower_bound, result.min_eig = lower, theta
-        result.certified = f - lower <= _CERTIFY_RTOL * max(1.0, abs(f))
+        result.certificate = mechanism
+        result.certified = f - lower <= budget
         logger.info(
             "staircase step=%d rank=%d f=%.12g grad_norm=%.6g "
-            "lower_bound=%.12g min_eig=%.6g certified=%d", step,
-            shape.rank, f, gnorm, lower, theta, result.certified,
+            "lower_bound=%.12g min_eig=%.6g certified=%d certificate=%s",
+            step, shape.rank, f, gnorm, lower, theta, result.certified,
+            mechanism,
         )
         if (result.certified or v is None or theta >= -params.eig_tol
                 or step == params.max_staircase_steps - 1):

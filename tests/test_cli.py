@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import mrfsdp
+import mrfsdp.cli as cli
 from mrfsdp import (
     DARS_SOLVER_PARAMS,
     DualParams,
@@ -125,6 +126,7 @@ def test_solve_fuses_default_config(small_instance, tmp_path):
     assert doc["objectives"]["subopt_bound"] == \
         doc["objectives"]["f_rounded"] - doc["staircase"]["lower_bound"]
     assert abs(doc["staircase"]["min_eig"]) < doc["config"]["solver"]["eig_tol"]
+    assert doc["staircase"]["certificate"] == "schur"
 
 
 def test_solve_dars_default_config(small_instance, tmp_path):
@@ -300,6 +302,34 @@ def test_bench_gap_columns_for_relaxation(tmp_path):
         assert float(row["certified_rate"]) == 1.0
 
 
+def test_bench_gaps_keep_their_sign_below_zero(tmp_path, monkeypatch):
+    # every energy shifted by -100 (the same MAP problem) puts f_opt below
+    # zero; a gap is a difference over |f_opt| and stays positive
+    shift = 100.0
+    reference, run = cli._bench_reference, cli.run_from_config
+
+    def shifted_reference(*args):
+        f_opt, labels = reference(*args)
+        return f_opt - shift, labels
+
+    def shifted_run(inst, config):
+        payload = run(inst, config)
+        payload["objectives"]["f_rounded"] -= shift
+        payload["objectives"]["f_relaxed"] -= shift
+        return payload
+
+    monkeypatch.setattr(cli, "_bench_reference", shifted_reference)
+    monkeypatch.setattr(cli, "run_from_config", shifted_run)
+    out = tmp_path / "table.tsv"
+    assert run_cli("bench", "--sizes", "2x3", "--labels", "3",
+                   "--methods", "fuses", "--seeds", 3, "--gaps",
+                   "--out", out) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split("\t"), line.split("\t")))
+    assert float(row["rounding_gap_pct_mean"]) >= 0.0
+    assert float(row["relaxation_gap_pct_mean"]) > 0.0
+
+
 def test_bench_malformed_tokens_exit_2(tmp_path):
     assert run_cli("bench", "--sizes", "3y3", "--labels", "2",
                    "--methods", "fuses") == 2
@@ -405,7 +435,7 @@ _SOLVER_KEYS = {"config.solver"} | {
 _EXPECTED_KEYS = {
     "fuses": _COMMON_KEYS | _SOLVER_KEYS | {
         "config.init", "staircase.rank_history", "staircase.lower_bound",
-        "staircase.min_eig"},
+        "staircase.min_eig", "staircase.certificate"},
     "dars": _COMMON_KEYS | _SOLVER_KEYS | {"config.dual"} | {
         f"config.dual.{f.name}" for f in fields(DualParams)} | {
         "staircase.rank_history", "dual.iterations",

@@ -1,6 +1,13 @@
 import pytest
 
-from mrfsdp import InvalidInputError, compute_metrics, mann_kendall_positive_p
+from mrfsdp import (
+    InvalidInputError,
+    compute_metrics,
+    fuses_solve,
+    generate_grid_instance,
+    mann_kendall_positive_p,
+)
+from mrfsdp.baselines import brute_force
 from mrfsdp.metrics import percent_agreement
 
 
@@ -34,6 +41,33 @@ def test_gap_arithmetic():
     # raw scale divides by (f_opt - offset) = 2
     assert report.rounding_gap_raw_pct == pytest.approx(50.0)
     assert report.relaxation_gap_raw_pct == pytest.approx(50.0)
+
+
+def test_gaps_keep_their_sign_when_optimum_negative():
+    # f_opt=-4, f_rounded=-3, f_relaxed=-5: both gaps are 1 above zero
+    report = compute_metrics(labeling=[1], f_rounded=-3.0, f_relaxed=-5.0,
+                             f_opt=-4.0, offset=-2.0)
+    assert report.rounding_gap_pct == pytest.approx(25.0)
+    assert report.relaxation_gap_pct == pytest.approx(25.0)
+    # raw optimum f_opt - offset = -2
+    assert report.rounding_gap_raw_pct == pytest.approx(50.0)
+    assert report.relaxation_gap_raw_pct == pytest.approx(50.0)
+
+
+def test_raw_scale_gaps_of_a_fuses_run():
+    # 3x4 K=3 seed 1: the relaxation is below f_opt = f_rounded, and the raw
+    # optimum f_opt - offset is negative
+    inst = generate_grid_instance(3, 4, 3, unary_noise=0.3, seed=1)
+    res = fuses_solve(inst, seed=0)
+    exact = brute_force(inst)
+    report = compute_metrics(res.labeling, res.f_rounded, res.f_relaxed,
+                             exact.labeling, exact.f_opt, offset=res.offset)
+    f_opt_raw = exact.f_opt - res.offset
+    assert f_opt_raw < 0.0 < exact.f_opt - res.f_relaxed
+    assert report.relaxation_gap_raw_pct > 0.0
+    assert report.relaxation_gap_raw_pct == pytest.approx(
+        report.relaxation_gap_pct * exact.f_opt / abs(f_opt_raw))
+    assert report.rounding_gap_raw_pct == report.rounding_gap_pct == 0.0
 
 
 def test_zero_optimum_yields_null_not_zero():

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -18,6 +19,7 @@ from mrfsdp import (
     generate_grid_instance,
     project_tangent,
     random_point,
+    retract,
     staircase_solve,
     tnt_minimize,
     trace_quadratic,
@@ -202,7 +204,13 @@ def _sparse_instance_cost():
     return enc.Q, ManifoldShape(inst.num_nodes, 3, 4)
 
 
-def test_certificate_sparse_path_is_seeded():
+def _decline_schur(monkeypatch):
+    """Make every certificate take the eigen-solve path."""
+    monkeypatch.setattr(staircase, "_schur_certificate", lambda *args: None)
+
+
+def test_certificate_sparse_path_is_seeded(monkeypatch):
+    _decline_schur(monkeypatch)
     M, shape = _sparse_instance_cost()
     assert shape.total_rows > staircase._DENSE_EIG_ROWS
     a = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
@@ -233,6 +241,7 @@ def test_certificate_repeats_for_one_rng_state(monkeypatch):
 
 
 def test_certificate_falls_back_to_gershgorin(monkeypatch):
+    _decline_schur(monkeypatch)
     M, shape = _sparse_instance_cost()
     good = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
     # one restart of a 3-vector Krylov basis cannot converge
@@ -246,6 +255,116 @@ def test_certificate_falls_back_to_gershgorin(monkeypatch):
     assert res.lower_bound == pytest.approx(
         res.objective + res.min_eig * shape.total_rows)
     assert res.lower_bound < good.lower_bound
+
+
+def certificate_matrix(M, shape, R):
+    """S = M - blkdiag(Diag lambda, Lambda_B), written out: lambda_i =
+    (M R)_i . R_i, Lambda_B = sym((M R)_B R_B^T)."""
+    S = M.toarray()
+    MR = S @ R
+    ns = shape.n_sphere_rows
+    S[np.arange(ns), np.arange(ns)] -= np.einsum("ij,ij->i", MR[:ns], R[:ns])
+    C = MR[ns:] @ R[ns:].T
+    S[ns:, ns:] -= 0.5 * (C + C.T)
+    return S
+
+
+def _schur_bound(M, shape, R):
+    """The Schur certificate's t* at R, or None where it declines."""
+    out = staircase._schur_certificate(
+        shape, R, M @ R, M.diagonal(),
+        staircase._sphere_offdiag_sums(M, shape.n_sphere_rows))
+    return None if out is None else out[1]
+
+
+def _random_block_points(rng, count):
+    """(M, shape, R): mixed-sign M with 1-4 block rows, and sphere rows
+    that point against C B plus noise of random size, so that Gershgorin
+    proves A > 0 at some points and not at others."""
+    for _ in range(count):
+        ns, k = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        rank = k + int(rng.integers(0, 3))
+        A = rng.standard_normal((ns + k, ns + k))
+        M = (A + A.T) / 2.0
+        M[:ns, :ns] *= rng.choice([0.01, 0.1, 1.0])
+        M = sp.csr_matrix(M)
+        # a signed column permutation of [I_k 0]: exactly orthonormal rows
+        B = (np.eye(k, rank)[:, rng.permutation(rank)]
+             * rng.choice([-1.0, 1.0], rank))
+        noise = rng.choice([0.0, 0.1, 1.0, 10.0])
+        Rs = -(M[:ns, ns:] @ B) + noise * rng.standard_normal((ns, rank))
+        Rs /= np.linalg.norm(Rs, axis=1, keepdims=True)
+        yield M, ManifoldShape(ns, k, rank), np.vstack([Rs, B])
+
+
+def _fuses_points(rng):
+    """(M, shape, R): fuses staircase optima at weight scales 1e-3, 1 and
+    1e3, each followed by 30 retracted tangent steps of size 1e-6 to 1."""
+    grids = [(2, 3, 2), (3, 3, 3), (3, 4, 3), (2, 4, 4)] * 3
+    for seed, (rows, cols, k) in enumerate(grids):
+        inst = generate_grid_instance(rows, cols, k, unary_noise=0.3,
+                                      seed=seed)
+        for c in (1e-3, 1.0, 1e3):
+            M = (c * encode_zo(inst).Q).tocsr()
+            R = staircase_solve(M, ManifoldShape(inst.num_nodes, k, k + 1),
+                                SolverParams(), seed_or_rng=seed).R_opt
+            shape = ManifoldShape(inst.num_nodes, k, R.shape[1])
+            yield M, shape, R
+            for size in np.logspace(-6, 0, 30):
+                V = project_tangent(shape, R, rng.standard_normal(R.shape))
+                yield M, shape, retract(shape, R, (size / np.linalg.norm(V)) * V)
+
+
+def test_schur_certificate_bounds_lambda_min():
+    rng = np.random.default_rng(0)
+    returned = declined = 0
+    for M, shape, R in itertools.chain(_random_block_points(rng, 1000),
+                                       _fuses_points(rng)):
+        t = _schur_bound(M, shape, R)
+        if t is None:
+            declined += 1
+            continue
+        returned += 1
+        lam_min = np.linalg.eigvalsh(certificate_matrix(M, shape, R))[0]
+        assert t <= lam_min + 1e-10 * max(1.0, abs(lam_min))
+    assert returned + declined >= 2000
+    assert returned and declined
+
+
+@pytest.mark.parametrize("rows,cols,k", [(25, 40, 19), (100, 100, 5)])
+def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
+                                                        monkeypatch):
+    # fuses_solve's staircase call, on its default start
+    calls = []
+    eigsh = staircase.eigsh
+    monkeypatch.setattr(staircase, "eigsh",
+                        lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    inst = generate_grid_instance(rows, cols, k, unary_noise=0.3, seed=0)
+    M, shape = encode_zo(inst).Q, ManifoldShape(inst.num_nodes, k, k + 1)
+    res = staircase_solve(M, shape, SolverParams(), seed_or_rng=0)
+    assert res.certified and res.certificate == "schur"
+    assert not calls
+    # min_eig is the bound t*, within the budget / m of the Ritz value on R
+    R = res.R_opt
+    _, theta, _ = staircase._certificate(M, shape.with_rank(R.shape[1]), R,
+                                         np.random.default_rng(0))
+    assert calls
+    budget = staircase._CERTIFY_RTOL * max(1.0, abs(res.objective))
+    assert abs(res.min_eig - theta) <= budget / shape.total_rows
+
+
+def test_progress_line_names_the_certificate(caplog):
+    inst = generate_grid_instance(3, 3, 3, unary_noise=0.3, seed=2)
+    no_block = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with caplog.at_level(logging.INFO, logger="mrfsdp.staircase"):
+        staircase_solve(encode_zo(inst).Q, ManifoldShape(9, 3, 4),
+                        SolverParams(), seed_or_rng=0)
+        staircase_solve(no_block, ManifoldShape(2, 0, 1), SolverParams(),
+                        seed_or_rng=3)
+    steps = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("staircase step=")]
+    assert [line.rsplit(" ", 1)[1] for line in steps] == [
+        "certificate=schur", "certificate=eigsh"]
 
 
 def test_symmetry_checked_once_per_staircase(monkeypatch):
