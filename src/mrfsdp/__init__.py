@@ -3,7 +3,7 @@
 Two pipelines with per-instance suboptimality certificates:
 
 * fuses_solve -- binary-matrix relaxation solved by a single rank staircase
-  (initial rank K+1) over unit rows above a fixed anchor block B0;
+  (initial rank K) over unit rows above a fixed anchor block B0;
 * dars_solve  -- dual ascent over the standard sign-vector relaxation, each
   primal step a rank staircase (initial rank 2) over unit rows.
 

@@ -22,8 +22,9 @@ with the eigen-solver's residual charged, so
 
     dual_bound = lower_bound - (2-K) sum(lambda) + offset
 
-is a lower bound on the discrete optimum at any lambda, converged or not,
-and subopt_bound = f_rounded - dual_bound.  f_relaxed, the primal value at
+(summed once and rounded down, see staircase._sum_down) is a lower bound
+on the discrete optimum at any lambda, converged or not, and
+subopt_bound = f_rounded - dual_bound.  f_relaxed, the primal value at
 a point that need not satisfy the sum constraints, is reported but is not
 a bound.  dars_solve returns a staircase.SolveResult with the dual-ascent
 fields set and the staircase-certificate fields None; its primal solves
@@ -50,7 +51,7 @@ from .encode_pm import PmEncoding, encode_pm
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, trace_quadratic
 from .mrf import MrfInstance, energy
-from .staircase import SolveResult, SolverParams, staircase_solve
+from .staircase import SolveResult, SolverParams, _sum_down, staircase_solve
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +170,7 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         R = res.R_opt
         rank_history = res.rank_history
         dual_values.append(res.objective - enc.rhs * float(lam.sum()))
-        lower_bound = res.lower_bound - enc.rhs * float(lam.sum())
+        dual_bound = _sum_down(res.lower_bound, -enc.rhs * lam, enc.offset)
         cert_hist.append(res.certified)
         grad = dual_gradient(enc, R)
         residual = float(np.max(np.abs(grad))) if n else 0.0
@@ -190,7 +191,6 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
     labeling = dars_round(R, n, k)
     f_rounded = energy(mrf, labeling)
     f_relaxed = trace_quadratic(enc.L, R) + enc.offset
-    dual_bound = lower_bound + enc.offset
     t_end = time.perf_counter()
     timings = {
         "encode_s": t_encode - t0,

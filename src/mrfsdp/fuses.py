@@ -1,12 +1,14 @@
-"""Binary-matrix relaxation pipeline: encode, staircase at rank K+1, round.
+"""Binary-matrix relaxation pipeline: encode, staircase from rank K, round.
 
 The relaxed problem minimizes trace(Q R R^T) over N unit-norm rows plus a
 K-row block with orthonormal rows.  trace(Q R R^T) is invariant under
-R -> R Q for orthogonal Q, so the block is held at the fixed anchor block
-B0 = [I_K 0] and only the N unit rows move.  The staircase's dual
+R -> R Q for orthogonal Q, so the block is held at a fixed anchor and only
+the N unit rows move.  The staircase starts at rank K, with anchor B0 = I_K
+(a K+1-th column would be pure gauge), and lifts to [I_K 0] and beyond only
+when the certificate finds negative curvature.  The staircase's dual
 certificate (see mrfsdp.staircase) bounds the relaxation, and so the
 discrete optimum, from below at whatever point it stops, so with
-lower_bound = that bound + offset
+lower_bound = that bound + offset (rounded down, see staircase._sum_down)
 
     f_rounded - f_opt <= subopt_bound = f_rounded - lower_bound
 
@@ -31,7 +33,7 @@ from .encode_zo import encode_zo, lift_labeling
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, project_tangent, retract
 from .mrf import MrfInstance, energy, unary_argmax_labeling
-from .staircase import SolveResult, SolverParams, staircase_solve
+from .staircase import SolveResult, SolverParams, _sum_down, staircase_solve
 
 
 def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
@@ -58,14 +60,13 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
     enc = encode_zo(mrf)
     t_encode = time.perf_counter()
     n, k = mrf.num_nodes, mrf.num_labels
-    shape = ManifoldShape(n_sphere_rows=n, bottom_block_rows=k, rank=k + 1)
+    shape = ManifoldShape(n_sphere_rows=n, bottom_block_rows=k, rank=k)
     rng = _as_rng(seed)
     warm = None
     if init == "unary":
         V = lift_labeling(enc, unary_argmax_labeling(mrf))
-        R0 = np.hstack([V, np.zeros((n + k, 1))])
-        pert = project_tangent(shape, R0, 0.01 * rng.standard_normal(R0.shape))
-        warm = retract(shape, R0, pert)
+        pert = project_tangent(shape, V, 0.01 * rng.standard_normal(V.shape))
+        warm = retract(shape, V, pert)
     elif init != "random":
         raise InvalidInputError(f"unknown init mode {init!r}")
     res = staircase_solve(enc.Q, shape, params, warm_start=warm, seed_or_rng=rng)
@@ -73,7 +74,7 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
     X = fuses_round(res.R_opt, n, k)
     labeling = X.argmax(axis=1)
     f_relaxed = res.objective + enc.offset
-    lower_bound = res.lower_bound + enc.offset
+    lower_bound = _sum_down(res.lower_bound, enc.offset)
     f_rounded = energy(mrf, labeling)
     t_end = time.perf_counter()
     return SolveResult(

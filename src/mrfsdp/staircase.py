@@ -28,7 +28,8 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
       lower_bound = sum(lambda) + tr(Lambda_B) + min(0, lambda_min(S)) * m,
 
   for any R at any weight scale, and so is the same sum with any t <=
-  lambda_min(S) in its place.  sum(lambda) + tr(Lambda_B) equals
+  lambda_min(S) in its place (_sum_down adds it up, rounded down so that
+  floating point cannot lift it).  sum(lambda) + tr(Lambda_B) equals
   trace(M R R^T) exactly, so the gap f - lower_bound is the eigenvalue term
   alone;
 * with an anchor block, _schur_certificate tries first, with no
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -115,6 +116,7 @@ _EIGSH_MAXITER = 1000
 # the Schur certificate's shift t may reach -_SCHUR_ETA mu, where
 # A^-1 (A - t I)^-1 >= A^-2 / (1 + _SCHUR_ETA) still holds
 _SCHUR_ETA = 1e-2
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,7 @@ class SolverParams:
     max_staircase_steps: int = 10
 
     def __post_init__(self):
-        positive = (
-            self.grad_norm_tol,
-            self.eig_tol,
-            self.rel_func_decrease_tol,
-            self.max_tnt_iterations,
-            self.initial_tr_radius,
-            self.tr_decrease_factor,
-            self.tr_increase_factor,
-            self.max_cg_iterations,
-            self.cg_success_eta,
-            self.max_staircase_steps,
-        )
-        if any(not (v > 0) for v in positive):
+        if any(not (getattr(self, f.name) > 0) for f in fields(self)):
             raise InvalidInputError("solver parameters must be positive")
         if not (self.tr_decrease_factor < 1.0 < self.tr_increase_factor):
             raise InvalidInputError("need 0 < alpha1 < 1 < alpha2")
@@ -343,6 +333,16 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     return R, f, gnorm, iterations
 
 
+def _sum_down(*terms) -> float:
+    """The sum of the terms (scalars or arrays) rounded down, so that a lower
+    bound assembled here stays one after rounding: fsum is within half an
+    ulp of the floats' sum, each term is at most one rounding (a product)
+    off its exact value, and 4 eps sum|terms| covers both plus the
+    subtraction."""
+    flat = np.concatenate([np.ravel(t) for t in terms]).tolist()
+    return math.fsum(flat) - 4.0 * _EPS * math.fsum(map(abs, flat))
+
+
 def _certificate(M, shape: ManifoldShape, R, rng):
     """Dual bound on trace(M Y) over the SDP from the multipliers at R.
 
@@ -355,7 +355,7 @@ def _certificate(M, shape: ManifoldShape, R, rng):
     if Lam_B is not None:
         blocks.append(sp.csr_matrix(Lam_B))
     multipliers = sp.block_diag(blocks, format="csr")
-    dual_value = float(multipliers.diagonal().sum())
+    diag = multipliers.diagonal()
     S = (sp.csr_matrix(M) - multipliers).tocsr()
     m = S.shape[0]
     G = float(abs(S).sum(axis=1).max())
@@ -364,7 +364,7 @@ def _certificate(M, shape: ManifoldShape, R, rng):
         theta, v = float(w[0]), vecs[:, 0]
     else:
         shift = G or 1.0  # S = 0 would make the shifted matrix 0
-        tol = (_EIGSH_BUDGET_SHARE * _CERTIFY_RTOL * max(1.0, abs(dual_value))
+        tol = (_EIGSH_BUDGET_SHARE * _CERTIFY_RTOL * max(1.0, abs(diag.sum()))
                / (m * shift))
         try:
             mu, vecs = eigsh(shift * sp.identity(m, format="csr") - S, k=1,
@@ -372,10 +372,10 @@ def _certificate(M, shape: ManifoldShape, R, rng):
                              ncv=min(m, _EIGSH_NCV), tol=tol,
                              maxiter=_EIGSH_MAXITER)
         except ArpackNoConvergence:
-            return dual_value - G * m, -G, None
+            return _sum_down(diag, -G * m), -G, None
         theta, v = shift - float(mu[0]), vecs[:, 0]
     charged = theta - float(np.linalg.norm(S @ v - theta * v))
-    return dual_value + min(0.0, charged) * m, theta, v
+    return _sum_down(diag, min(0.0, charged) * m), theta, v
 
 
 def _sphere_offdiag_sums(M, ns) -> np.ndarray:
@@ -436,8 +436,7 @@ def _schur_certificate(shape: ManifoldShape, R, MR, diag_M, offdiag):
     t = min(0.0, float(w[0]))
     if t < -_SCHUR_ETA * mu:
         return None
-    dual_value = float(lam.sum()) + float(np.trace(Lam_B))
-    return dual_value + t * shape.total_rows, t
+    return _sum_down(lam, np.diag(Lam_B), t * shape.total_rows), t
 
 
 # relative size of the escape perturbation before backtracking

@@ -46,6 +46,14 @@ def random_instance(rng, max_nodes=5, max_labels=4, min_nodes=1):
     return make_instance(n, k, unary, binary)
 
 
+def nth_random_instance(seed, index, **kwargs):
+    """The index-th (from 0) random_instance drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        random_instance(rng, **kwargs)
+    return random_instance(rng, **kwargs)
+
+
 def all_labelings(n, k):
     return (np.array(x) for x in itertools.product(range(k), repeat=n))
 

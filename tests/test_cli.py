@@ -122,7 +122,7 @@ def test_solve_fuses_default_config(small_instance, tmp_path):
     assert doc["config"]["solver"]["eig_tol"] == 1e-2
     assert doc["config"]["solver"]["max_tnt_iterations"] == 500
     assert doc["flags"]["certified"] is True
-    assert doc["staircase"]["rank_history"][0][0] == 3  # K + 1
+    assert doc["staircase"]["rank_history"][0][0] == 2  # K
     assert doc["objectives"]["subopt_bound"] == \
         doc["objectives"]["f_rounded"] - doc["staircase"]["lower_bound"]
     assert abs(doc["staircase"]["min_eig"]) < doc["config"]["solver"]["eig_tol"]

@@ -20,7 +20,7 @@ from mrfsdp import (
 from mrfsdp.dars import _l_lambda
 from mrfsdp.manifold import ManifoldShape
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, nth_random_instance, random_instance
 
 # Standard-relaxation optimum (plus offset) for TEST_INSTANCE below, computed
 # offline by scripts/standard_sdp_oracle.py (Douglas-Rachford splitting with
@@ -202,6 +202,14 @@ def test_weak_duality_and_rounding_bound():
             assert d + res.offset <= exact.f_opt + slack
     assert res.dual_bound <= exact.f_opt + 1e-3
     assert res.f_rounded - exact.f_opt <= res.f_rounded - res.dual_bound + 1e-3
+
+
+def test_dual_bound_does_not_round_above_the_optimum():
+    # a tight instance whose bound, summed plainly, lands one ulp above f_opt
+    inst = nth_random_instance(7, 72, max_nodes=6, max_labels=4)
+    res = dars_solve(inst, dual_params=DualParams(max_iterations=200), seed=72)
+    assert res.dual_converged and res.certified
+    assert res.dual_bound <= brute_force(inst).f_opt
 
 
 def test_certificate_semantics():

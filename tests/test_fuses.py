@@ -11,7 +11,12 @@ from mrfsdp import (
     labeling_to_zo,
 )
 
-from conftest import edge_triples, make_instance, unary_triples
+from conftest import (
+    edge_triples,
+    make_instance,
+    nth_random_instance,
+    unary_triples,
+)
 
 
 def test_unary_only_recovers_measured_labels():
@@ -110,11 +115,21 @@ def test_determinism_same_seed():
     assert a.rank_history == b.rank_history
 
 
-def test_initial_rank_is_labels_plus_one():
+def test_initial_rank_is_labels():
     for k in (2, 3, 4):
         inst = generate_grid_instance(2, 2, k, unary_noise=0.3, seed=1)
-        res = fuses_solve(inst, seed=1)
-        assert res.rank_history[0][0] == k + 1
+        for init in ("random", "unary"):
+            res = fuses_solve(inst, seed=1, init=init)
+            assert res.rank_history[0][0] == k
+
+
+@pytest.mark.parametrize("draw", [80, 275])
+def test_lower_bound_does_not_round_above_the_optimum(draw):
+    # tight instances (f_opt = 0) whose bound, summed plainly, lands one ulp
+    # above the optimum
+    inst = nth_random_instance(7, draw, max_nodes=6, max_labels=4)
+    res = fuses_solve(inst, seed=draw)
+    assert res.lower_bound <= brute_force(inst).f_opt
 
 
 def test_unary_warm_start_mode():

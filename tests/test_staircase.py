@@ -1,5 +1,6 @@
 import itertools
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
     monkeypatch.setattr(staircase, "eigsh",
                         lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
     inst = generate_grid_instance(rows, cols, k, unary_noise=0.3, seed=0)
-    M, shape = encode_zo(inst).Q, ManifoldShape(inst.num_nodes, k, k + 1)
+    M, shape = encode_zo(inst).Q, ManifoldShape(inst.num_nodes, k, k)
     res = staircase_solve(M, shape, SolverParams(), seed_or_rng=0)
     assert res.certified and res.certificate == "schur"
     assert not calls
@@ -351,6 +352,17 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
     assert calls
     budget = staircase._CERTIFY_RTOL * max(1.0, abs(res.objective))
     assert abs(res.min_eig - theta) <= budget / shape.total_rows
+
+
+def test_sum_down_is_at_most_the_exact_sum():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        terms = (rng.standard_normal(int(rng.integers(1, 40)))
+                 * 10.0 ** rng.integers(-8, 9))
+        exact = sum(map(Fraction, terms.tolist()))
+        assert Fraction(staircase._sum_down(terms)) <= exact
+        assert Fraction(staircase._sum_down(terms[:1], terms[1:])) <= exact
+    assert staircase._sum_down(np.zeros(3), 0.0) == 0.0
 
 
 def test_progress_line_names_the_certificate(caplog):
