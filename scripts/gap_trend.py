@@ -4,7 +4,9 @@
 For each size, solves a batch of seeded grids, measures the relaxation gap
 against the best labeling found (exhaustive where the state space allows,
 otherwise greedy refinements of the rounded labeling), and reports the
-median per size plus a Mann-Kendall trend test.
+median per size plus a Mann-Kendall trend test.  Gaps are percentages of
+|best energy| as mrfsdp.compute_metrics takes them; a seed whose best
+energy is 0 has none.
 
     python scripts/gap_trend.py --sizes 4x4,8x8,16x16 --seeds 10
 """
@@ -16,6 +18,7 @@ import numpy as np
 
 from mrfsdp import (
     brute_force,
+    compute_metrics,
     fuses_solve,
     generate_grid_instance,
     icm,
@@ -48,9 +51,11 @@ def main(argv=None):
             if inst.num_labels ** inst.num_nodes <= args.budget:
                 candidates.append(brute_force(inst, budget=args.budget).f_opt)
                 n_exact += 1
-            f_best = min(candidates)
-            if f_best != 0.0:
-                gaps.append(100.0 * (f_best - res.f_relaxed) / f_best)
+            gap = compute_metrics(res.labeling, res.f_rounded,
+                                  f_relaxed=res.f_relaxed,
+                                  f_opt=min(candidates)).relaxation_gap_pct
+            if gap is not None:
+                gaps.append(gap)
         med = float(np.median(gaps))
         medians.append(med)
         print(f"{int(rows) * int(cols)}\t{med:.4f}\t{n_exact}")

@@ -29,7 +29,7 @@ from .errors import (
     SizeRefusalError,
 )
 from .fuses import fuses_solve
-from .metrics import _pct_gap, compute_metrics
+from .metrics import compute_metrics
 from .mrf import (
     ConstantWeights,
     KernelWeights,
@@ -344,6 +344,11 @@ def _bench_reference(rows, cols, k, noise, seed, budget):
     return res.f_opt, tuple(int(v) for v in res.labeling)
 
 
+# the MetricsReport fields a bench cell reports, where the exact optimum is
+# known; a gap is None when f_opt = 0
+_GAP_KEYS = ("rounding_gap_pct", "relaxation_gap_pct", "percent_optimal_labels")
+
+
 def _bench_cell(size, k, config, args):
     rows_, cols_ = size
     records = []
@@ -367,15 +372,13 @@ def _bench_cell(size, k, config, args):
             rec["f_relaxed"] = obj.get("f_relaxed")
             rec["subopt_bound"] = obj["subopt_bound"]
             rec["certified"] = (payload["flags"] or {}).get("certified")
-            if exact is not None and exact[0] != 0:
-                f_opt, opt_labels = exact
-                rec["rounding_gap_pct"] = _pct_gap(obj["f_rounded"] - f_opt, f_opt)
-                if obj.get("f_relaxed") is not None:
-                    rec["relaxation_gap_pct"] = _pct_gap(f_opt - obj["f_relaxed"],
-                                                         f_opt)
-                rec["percent_optimal_labels"] = 100.0 * float(
-                    np.mean(np.asarray(payload["labeling"]) ==
-                            np.asarray(opt_labels)))
+            if exact is not None:
+                report = compute_metrics(
+                    payload["labeling"], obj["f_rounded"],
+                    f_relaxed=obj.get("f_relaxed"), exact_labeling=exact[1],
+                    f_opt=exact[0])
+                for key in _GAP_KEYS:
+                    rec[key] = getattr(report, key)
         except (NumericalFailureError, SizeRefusalError, InvalidInputError) as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"
         records.append(rec)
@@ -431,9 +434,7 @@ def _cmd_bench(args) -> int:
             "n_runs": len(records), "n_failed": failed,
             "certified_rate": (len(cert) / len(ok)) if ok and m in ("fuses", "dars") else None,
         }
-        for key in ("time_ms", "f_rounded", "subopt_bound",
-                    "rounding_gap_pct", "relaxation_gap_pct",
-                    "percent_optimal_labels"):
+        for key in ("time_ms", "f_rounded", "subopt_bound") + _GAP_KEYS:
             mean, std = _mean_std([r.get(key) for r in ok])
             row[f"{key}_mean"] = mean
             row[f"{key}_std"] = std

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InfeasibleAssignmentError, InvalidInputError
-from .mrf import MrfInstance
+from .mrf import MrfInstance, _check_labeling
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class PmEncoding:
     def rhs(self) -> float:
         """Per-node sum-constraint right-hand side, 2 - K."""
         return float(2 - self.num_labels)
-
-    def block(self, i: int) -> slice:
-        k = self.num_labels
-        return slice(i * k, (i + 1) * k)
 
 
 def encode_pm(mrf: MrfInstance) -> PmEncoding:
@@ -72,11 +68,7 @@ def encode_pm(mrf: MrfInstance) -> PmEncoding:
 
 def labeling_to_pm(labeling, num_nodes: int, num_labels: int) -> np.ndarray:
     """Sign vector with +1 at each node's label position, homogenized."""
-    x = np.asarray(labeling, dtype=int)
-    if x.shape != (num_nodes,):
-        raise InvalidInputError("labeling length mismatch")
-    if x.size and (x.min() < 0 or x.max() >= num_labels):
-        raise InvalidInputError("label out of range")
+    x = _check_labeling(labeling, num_nodes, num_labels)
     y = -np.ones(num_nodes * num_labels + 1)
     y[np.arange(num_nodes) * num_labels + x] = 1.0
     y[-1] = 1.0

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InfeasibleAssignmentError, InvalidInputError
-from .mrf import MrfInstance
+from .mrf import MrfInstance, _check_labeling
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,6 @@ class ZoEncoding:
     num_labels: int
     Q: sp.csr_matrix
     offset: float
-
-    @property
-    def n_top(self) -> int:
-        return self.num_nodes
-
-    @property
-    def n_bottom(self) -> int:
-        return self.num_labels
 
     @property
     def dim(self) -> int:
@@ -71,11 +63,8 @@ def encode_zo(mrf: MrfInstance) -> ZoEncoding:
 
 
 def labeling_to_zo(labeling, num_nodes: int, num_labels: int) -> np.ndarray:
-    x = np.asarray(labeling, dtype=int)
-    if x.shape != (num_nodes,):
-        raise InvalidInputError("labeling length mismatch")
-    if x.size and (x.min() < 0 or x.max() >= num_labels):
-        raise InvalidInputError("label out of range")
+    """N x K one-hot matrix with a 1 at each node's label."""
+    x = _check_labeling(labeling, num_nodes, num_labels)
     X = np.zeros((num_nodes, num_labels))
     X[np.arange(num_nodes), x] = 1.0
     return X

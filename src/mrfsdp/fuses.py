@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from .encode_zo import encode_zo, lift_labeling
+from .encode_zo import encode_zo, labeling_to_zo, lift_labeling
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, project_tangent, retract
 from .mrf import MrfInstance, energy, unary_argmax_labeling
@@ -42,10 +42,7 @@ def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
     if R.shape[0] != num_nodes + num_labels:
         raise InvalidInputError("factor row count mismatch")
     frac = R[:num_nodes] @ R[num_nodes:].T
-    labels = frac.argmax(axis=1)
-    X = np.zeros((num_nodes, num_labels))
-    X[np.arange(num_nodes), labels] = 1.0
-    return X
+    return labeling_to_zo(frac.argmax(axis=1), num_nodes, num_labels)
 
 
 def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,

@@ -108,21 +108,26 @@ class MrfInstance:
         return MrfInstance, tuple(getattr(self, f.name) for f in fields(self))
 
 
-def validate_labeling(mrf: MrfInstance, labeling) -> np.ndarray:
-    """Coerce to an int array and check length and label range."""
+def _check_labeling(labeling, num_nodes: int, num_labels: int) -> np.ndarray:
+    """Coerce to an int array and check length, integrality and label range."""
     x = np.asarray(labeling)
-    if x.ndim != 1 or x.shape[0] != mrf.num_nodes:
+    if x.ndim != 1 or x.shape[0] != num_nodes:
         raise InvalidInputError(
-            f"labeling has length {x.shape}, expected ({mrf.num_nodes},)"
+            f"labeling has length {x.shape}, expected ({num_nodes},)"
         )
     if not np.issubdtype(x.dtype, np.integer):
         xr = np.rint(np.asarray(labeling, dtype=float)).astype(int)
         if not np.array_equal(xr, np.asarray(labeling, dtype=float)):
             raise InvalidInputError("labeling entries must be integers")
         x = xr
-    if x.size and (x.min() < 0 or x.max() >= mrf.num_labels):
+    if x.size and (x.min() < 0 or x.max() >= num_labels):
         raise InvalidInputError("labeling entry out of [0, K)")
     return x.astype(int)
+
+
+def validate_labeling(mrf: MrfInstance, labeling) -> np.ndarray:
+    """Coerce to an int array and check it is a labeling of mrf."""
+    return _check_labeling(labeling, mrf.num_nodes, mrf.num_labels)
 
 
 def energy(mrf: MrfInstance, labeling) -> float:
@@ -156,16 +161,21 @@ def unary_argmax_labeling(mrf: MrfInstance) -> np.ndarray:
     return labels
 
 
+def _kernel_weight(d2, lam1: float, lam2: float, beta: float):
+    """Gaussian-kernel edge weight lam1 + lam2 * exp(-beta * d2) of a squared
+    feature distance d2 (a number or an array of them)."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise InvalidInputError("beta must be finite and >= 0")
+    return lam1 + lam2 * np.exp(-beta * d2)
+
+
 def binary_weight_from_features(c_i, c_j, lam1: float, lam2: float, beta: float) -> float:
     """Gaussian-kernel edge weight lam1 + lam2 * exp(-beta * ||c_i - c_j||^2)."""
     a = np.asarray(c_i, dtype=float)
     b = np.asarray(c_j, dtype=float)
     if a.shape != b.shape:
         raise InvalidInputError("feature vectors must have equal length")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise InvalidInputError("beta must be finite and >= 0")
-    d2 = float(np.sum((a - b) ** 2))
-    return lam1 + lam2 * math.exp(-beta * d2)
+    return float(_kernel_weight(float(np.sum((a - b) ** 2)), lam1, lam2, beta))
 
 
 # --- synthetic grid generation ------------------------------------------
@@ -187,6 +197,7 @@ class KernelWeights:
 
     Features are noisy one-hot embeddings of the ground-truth labels; with
     beta=None the bandwidth is set to 1 / (2 * mean squared edge distance).
+    A given beta must be finite and >= 0.
     """
 
     lam1: float = 0.02
@@ -279,15 +290,12 @@ def generate_grid_instance(
         ew = rng.uniform(model.low, model.high, size=len(edges))
     elif isinstance(model, KernelWeights):
         feats = np.eye(k)[truth] + model.feature_noise * rng.standard_normal((n, k))
-        if len(edges):
-            d2 = np.sum((feats[edges[:, 0]] - feats[edges[:, 1]]) ** 2, axis=1)
-            beta = model.beta
-            if beta is None:
-                mean_d2 = float(d2.mean())
-                beta = 0.0 if mean_d2 == 0.0 else 1.0 / (2.0 * mean_d2)
-            ew = model.lam1 + model.lam2 * np.exp(-beta * d2)
-        else:
-            ew = np.zeros(0)
+        d2 = np.sum((feats[edges[:, 0]] - feats[edges[:, 1]]) ** 2, axis=1)
+        beta = model.beta
+        if beta is None:
+            mean_d2 = float(d2.mean()) if d2.size else 0.0
+            beta = 0.0 if mean_d2 == 0.0 else 1.0 / (2.0 * mean_d2)
+        ew = _kernel_weight(d2, model.lam1, model.lam2, beta)
     else:
         raise InvalidInputError(f"unknown binary weight model {model!r}")
 

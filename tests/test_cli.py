@@ -60,6 +60,12 @@ def test_gen_1x1_no_edges(tmp_path, capsys):
     assert "num_edges=0" in capsys.readouterr().out
 
 
+def test_gen_negative_beta_exit_2(tmp_path):
+    assert run_cli("gen", "--rows", 2, "--cols", 2, "--labels", 2,
+                   "--beta", -5, "--out", tmp_path / "g.json") == 2
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_gen_deterministic_files(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -328,6 +334,22 @@ def test_bench_gaps_keep_their_sign_below_zero(tmp_path, monkeypatch):
     row = dict(zip(header.split("\t"), line.split("\t")))
     assert float(row["rounding_gap_pct_mean"]) >= 0.0
     assert float(row["relaxation_gap_pct_mean"]) > 0.0
+
+
+def test_bench_zero_optimum_keeps_label_agreement(tmp_path):
+    # noise 0 gives f_opt = 0 on these grids: the gaps are undefined there,
+    # as in eval, but the share of optimal labels is not
+    out = tmp_path / "table.tsv"
+    assert run_cli("bench", "--sizes", "1x1,2x2", "--labels", "2",
+                   "--methods", "fuses,exact", "--seeds", 2, "--noise", 0,
+                   "--gaps", "--out", out) == 0
+    header, *lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        row = dict(zip(header.split("\t"), line.split("\t")))
+        assert float(row["f_rounded_mean"]) == 0.0
+        assert row["rounding_gap_pct_mean"] == row["relaxation_gap_pct_mean"] == ""
+        assert float(row["percent_optimal_labels_mean"]) == 100.0
 
 
 def test_bench_malformed_tokens_exit_2(tmp_path):

@@ -69,6 +69,12 @@ def test_labeling_to_pm_single_node():
     assert np.array_equal(labeling_to_pm([0], 1, 2), [1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize("x", [[0.5, 1.7], [0], [0, 2], [0, -1]])
+def test_labeling_to_pm_rejects_what_energy_rejects(x):
+    with pytest.raises(InvalidInputError):
+        labeling_to_pm(x, 2, 2)
+
+
 def test_block_sums_equal_rhs(rng):
     n, k = 4, 4
     for _ in range(20):
@@ -134,9 +140,3 @@ def test_nnz_audit(rng):
         enc = encode_pm(mrf)
         bound = 2 * mrf.num_labels ** 2 * mrf.edge_i.size + 2 * mrf.unary_node.size
         assert enc.L.nnz <= bound
-
-
-def test_block_slices():
-    enc = encode_pm(MrfInstance(3, 4))
-    assert enc.block(0) == slice(0, 4)
-    assert enc.block(2) == slice(8, 12)

@@ -23,7 +23,7 @@ def test_empty_instance():
     assert enc.Q.nnz == 0
     assert enc.offset == 0.0
     assert enc.dim == 5
-    assert enc.n_top == 2 and enc.n_bottom == 3
+    assert enc.num_nodes == 2 and enc.num_labels == 3
 
 
 def test_unary_coefficient_value():
@@ -64,6 +64,17 @@ def test_edge_block_symmetric_zero_diagonal(rng):
 
 def test_labeling_to_zo_single_node():
     assert np.array_equal(labeling_to_zo([2], 1, 3), [[0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("x", [[0.5, 1.7], [0], [0, 2], [0, -1]])
+def test_labeling_to_zo_rejects_what_energy_rejects(x):
+    # non-integer, wrong-length and out-of-range labelings, as energy does
+    with pytest.raises(InvalidInputError):
+        energy(MrfInstance(2, 2), x)
+    with pytest.raises(InvalidInputError):
+        labeling_to_zo(x, 2, 2)
+    with pytest.raises(InvalidInputError):
+        lift_labeling(encode_zo(MrfInstance(2, 2)), x)
 
 
 def test_one_hot_rows(rng):

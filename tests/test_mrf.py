@@ -313,6 +313,11 @@ def test_kernel_weight_errors():
         dict(rows=2, cols=2, num_labels=2, unary_noise=1.5),
         dict(rows=2, cols=2, num_labels=2, unary_weight_range=(2.0, 1.0)),
         dict(rows=2, cols=2, num_labels=2, unary_weight_range=(0.0, math.inf)),
+        # a negative or non-finite kernel bandwidth, with or without edges
+        dict(rows=2, cols=2, num_labels=2,
+             binary_weight_model=KernelWeights(beta=-5.0)),
+        dict(rows=1, cols=1, num_labels=2,
+             binary_weight_model=KernelWeights(beta=math.nan)),
     ],
 )
 def test_generate_errors(kwargs):
