@@ -11,8 +11,8 @@ Supported relaxations:
   zo: min trace(Q Z), unit diagonal on the node block, identity on the
       label block, Z PSD  (the binary-matrix pipeline's target).
 
-The frozen constants in tests/test_dars.py and tests/test_fuses.py were
-produced by this script.
+The frozen constants in tests/test_dars.py were produced by this script
+(tests/test_scripts.py re-derives them).
 
 Usage:
     python scripts/standard_sdp_oracle.py --instance inst.json --encoding pm

@@ -11,18 +11,18 @@ Plus exact brute force and greedy local search baselines, synthetic grid
 generation, instance/result serialization, and a CLI (mrfsdp.cli).
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import ExactResult, brute_force, icm
 from .dars import (
     DARS_SOLVER_PARAMS,
     DualParams,
-    dars_certificate,
     dars_round,
     dars_solve,
     dual_gradient,
 )
 from .encode_pm import (
     PmEncoding,
-    constraint_value,
     encode_pm,
     labeling_to_pm,
     pm_to_labeling,
@@ -78,4 +78,6 @@ from .staircase import (
 # the benchmark harness's tests build results under the old per-method names
 FusesResult = DarsResult = SolveResult
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them bound here
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -203,6 +203,14 @@ def _result_doc(mrf: MrfInstance, instance_path: str, config: dict,
     return doc
 
 
+def _write_output(text: str, out: str | None) -> None:
+    """A command's output goes to --out, written atomically, else stdout."""
+    if out:
+        formats.atomic_write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 # --- subcommands ----------------------------------------------------------
 
 def _cmd_gen(args) -> int:
@@ -238,22 +246,14 @@ def _cmd_solve(args) -> int:
         payload = run_from_config(mrf, config)
     except (NumericalFailureError, SizeRefusalError) as exc:
         doc = _result_doc(mrf, args.instance, config, {
-            "labeling": None,
-            "objectives": None,
-            "flags": None,
-            "staircase": None,
-            "dual": None,
-            "timing": {},
-        })
+            "labeling": None, "objectives": None, "flags": None,
+            "staircase": None, "dual": None, "timing": {}})
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if args.out:
             formats.save_result(doc, args.out)
         raise
     doc = _result_doc(mrf, args.instance, config, payload)
-    if args.out:
-        formats.save_result(doc, args.out)
-    else:
-        sys.stdout.write(formats.dumps_result(doc))
+    _write_output(formats.dumps_result(doc), args.out)
     obj = doc["objectives"]["f_rounded"]
     flags = doc["flags"]
     print(f"method={args.method} f={obj} certified={flags.get('certified')} "
@@ -314,11 +314,7 @@ def _cmd_eval(args) -> int:
         report["method"] = doc["method"]
         reports.append(report)
     out_doc = {"schema": "mrfsdp-eval-v1", "reports": reports}
-    text = json.dumps(out_doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        formats.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(json.dumps(out_doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -442,11 +438,7 @@ def _cmd_bench(args) -> int:
             "" if row.get(c) is None else
             (f"{row[c]:.6g}" if isinstance(row[c], float) else str(row[c]))
             for c in _BENCH_COLUMNS))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        formats.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -468,11 +460,7 @@ def _cmd_export_matrix(args) -> int:
         lines.append(
             f"{int(coo.row[idx])} {int(coo.col[idx])} {float(coo.data[idx])!r}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        formats.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 

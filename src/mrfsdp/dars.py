@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +51,8 @@ from .encode_pm import PmEncoding, encode_pm
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, trace_quadratic
 from .mrf import MrfInstance, energy
-from .staircase import SolveResult, SolverParams, _sum_down, staircase_solve
+from .staircase import (SolveResult, SolverParams, _check_params, _sum_down,
+                        staircase_solve)
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +68,7 @@ class DualParams:
     divergence_patience: int = 50
 
     def __post_init__(self):
-        if any(not (getattr(self, f.name) > 0) for f in fields(self)):
-            raise InvalidInputError("dual parameters must be positive")
+        _check_params(self)
 
 
 class DivergenceMonitor:
@@ -124,19 +124,6 @@ def dars_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
     if v[-1] < 0:
         v = -v
     return v[:-1].reshape(num_nodes, num_labels).argmax(axis=1)
-
-
-def dars_certificate(result: SolveResult, f_opt: float | None = None,
-                     tol: float = 1e-9):
-    """(bound_valid, gap) with gap = f_rounded - dual_bound.  Valid only for
-    converged, certified runs; with a known optimum the rounding bound is
-    checked, otherwise only gap >= 0."""
-    gap = result.f_rounded - result.dual_bound
-    if not (result.dual_converged and result.certified):
-        return False, gap
-    if f_opt is None:
-        return gap >= -tol, gap
-    return (result.f_rounded - f_opt) <= gap + tol, gap
 
 
 def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,

@@ -15,8 +15,8 @@ entry (i*K + label, last) of L, twice by symmetry, plus a constant w/2.
 
 Feasibility of y is the per-node sum constraint 1^T x~_i = 2 - K, written
 trace(U_i y y^T) = 2 - K with U_i = [[0, 0], [u_i^T, 0]]; the trace reduces
-to a block sum over the last column, which is how it is evaluated here (U_i
-is never materialized).
+to a block sum over the last column, which is how dars.dual_gradient
+evaluates it (U_i is never materialized).
 """
 
 from __future__ import annotations
@@ -90,15 +90,3 @@ def pm_to_labeling(y, num_nodes: int, num_labels: int) -> np.ndarray:
         )
     return blocks.argmax(axis=1)
 
-
-def constraint_value(i: int, Y_or_y, num_labels: int) -> float:
-    """trace(U_i Y) evaluated as the block sum of the last column.
-
-    Accepts a symmetric matrix Y or a vector y (then Y = y y^T implicitly).
-    """
-    a = np.asarray(Y_or_y)
-    k = num_labels
-    blk = slice(i * k, (i + 1) * k)
-    if a.ndim == 2:
-        return float(a[blk, -1].sum())
-    return float(a[blk].sum() * a[-1])

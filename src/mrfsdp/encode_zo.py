@@ -35,16 +35,6 @@ class ZoEncoding:
     def dim(self) -> int:
         return self.num_nodes + self.num_labels
 
-    def unary_block(self) -> sp.csr_matrix:
-        """The N x K unary coefficient matrix (twice the top-right of Q)."""
-        n = self.num_nodes
-        return (2.0 * self.Q[:n, n:]).tocsr()
-
-    def edge_block(self) -> sp.csr_matrix:
-        """The N x N edge coefficient matrix (top-left block of Q)."""
-        n = self.num_nodes
-        return self.Q[:n, :n].tocsr()
-
 
 def encode_zo(mrf: MrfInstance) -> ZoEncoding:
     n, k = mrf.num_nodes, mrf.num_labels

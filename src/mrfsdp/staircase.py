@@ -65,6 +65,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 import scipy.linalg
@@ -83,6 +84,7 @@ from .manifold import (
     retract,
     trace_quadratic,
 )
+from .mrf import _is_size
 
 logger = logging.getLogger(__name__)
 
@@ -119,6 +121,19 @@ _SCHUR_ETA = 1e-2
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_params(params) -> None:
+    """Every field of a parameter dataclass is > 0 (so not NaN): an integer
+    (mrf._is_size) where the default is an int, else a real number; no bool."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        count = isinstance(f.default, int)
+        typed = _is_size(v) if count else isinstance(v, Real) and not isinstance(v, bool)
+        if not (typed and v > 0):
+            raise InvalidInputError(
+                f"{f.name} must be a positive {'integer' if count else 'number'}, "
+                f"got {v!r}")
+
+
 @dataclass(frozen=True)
 class SolverParams:
     grad_norm_tol: float = 1e-2
@@ -133,8 +148,7 @@ class SolverParams:
     max_staircase_steps: int = 10
 
     def __post_init__(self):
-        if any(not (getattr(self, f.name) > 0) for f in fields(self)):
-            raise InvalidInputError("solver parameters must be positive")
+        _check_params(self)
         if not (self.tr_decrease_factor < 1.0 < self.tr_increase_factor):
             raise InvalidInputError("need 0 < alpha1 < 1 < alpha2")
         if not (self.cg_success_eta < 1.0):

@@ -14,6 +14,7 @@ import mrfsdp.cli as cli
 from mrfsdp import (
     DARS_SOLVER_PARAMS,
     DualParams,
+    InvalidInputError,
     SolverParams,
     brute_force,
     encode_pm,
@@ -159,6 +160,9 @@ def test_result_config_reproduces_run(small_instance, tmp_path):
                               doc["config"])
     assert payload["labeling"] == doc["labeling"]
     assert payload["objectives"] == doc["objectives"]
+    doc["config"]["solver"]["max_cg_iterations"] = 2.5
+    with pytest.raises(InvalidInputError):
+        run_from_config(load_instance(str(small_instance)), doc["config"])
 
 
 def test_eval_self_comparison(small_instance, tmp_path, capsys):

@@ -7,7 +7,6 @@ from mrfsdp import (
     MrfInstance,
     SolverParams,
     brute_force,
-    dars_certificate,
     dars_round,
     dars_solve,
     dual_gradient,
@@ -26,6 +25,9 @@ from conftest import make_instance, nth_random_instance, random_instance
 # offline by scripts/standard_sdp_oracle.py (Douglas-Rachford splitting with
 # exact projections; split/PSD residuals < 1e-13).
 ORACLE_RELAXED_OPTIMUM = 0.16926554938286253
+# The binary-matrix relaxation's optimum (plus offset) for TEST_INSTANCE, from
+# the same script with --encoding zo (residuals < 1e-12).
+ORACLE_ZO_RELAXED_OPTIMUM = 0.13456934306300372
 
 TEST_INSTANCE = make_instance(
     9, 2,
@@ -213,15 +215,18 @@ def test_dual_bound_does_not_round_above_the_optimum():
 
 
 def test_certificate_semantics():
-    exact = brute_force(TEST_INSTANCE)
-    res = dars_solve(TEST_INSTANCE, seed=0)
-    valid, gap = dars_certificate(res, f_opt=exact.f_opt, tol=1e-6)
-    assert valid
-    assert gap == res.f_rounded - res.dual_bound == res.subopt_bound
-    valid_no_opt, _ = dars_certificate(res, tol=1e-6)
-    assert valid_no_opt
-    res.certified = False
-    assert dars_certificate(res, f_opt=exact.f_opt) == (False, gap)
+    # weak duality: the bound holds at every lambda, so also on runs that
+    # stop before the dual loop converges or the last primal step certifies
+    f_opt = brute_force(TEST_INSTANCE).f_opt
+    runs = [dars_solve(TEST_INSTANCE, dual_params=DualParams(max_iterations=m),
+                       seed=0) for m in (1, 2, 3, 5)]
+    runs.append(dars_solve(TEST_INSTANCE, seed=0))
+    for res in runs:
+        assert res.dual_bound <= f_opt
+        assert res.f_rounded - f_opt <= res.subopt_bound
+        assert res.subopt_bound == res.f_rounded - res.dual_bound
+    assert not runs[0].dual_converged and runs[-1].dual_converged
+    assert not all(res.certified for res in runs)
 
 
 def test_constraint_residual_reasserted_on_result():
@@ -261,6 +266,7 @@ def test_l_lambda_adds_symmetrized_constraints():
     ("max_iterations", 0), ("grad_tol", float("nan")), ("grad_tol", -1.0),
     ("divergence_factor", -1.0), ("divergence_factor", float("nan")),
     ("divergence_patience", 0),
+    ("max_iterations", 2.5), ("divergence_patience", True),
 ])
 def test_dual_params_validation(field, value):
     with pytest.raises(InvalidInputError):

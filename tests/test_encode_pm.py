@@ -7,7 +7,7 @@ from mrfsdp import (
     InfeasibleAssignmentError,
     InvalidInputError,
     MrfInstance,
-    constraint_value,
+    dual_gradient,
     encode_pm,
     energy,
     labeling_to_pm,
@@ -15,14 +15,6 @@ from mrfsdp import (
 )
 
 from conftest import all_labelings, make_instance, random_instance
-
-
-def dense_constraint_matrix(i, num_nodes, num_labels):
-    """U_i materialized: last row carries the block indicator."""
-    dim = num_nodes * num_labels + 1
-    U = np.zeros((dim, dim))
-    U[-1, i * num_labels:(i + 1) * num_labels] = 1.0
-    return U
 
 
 def test_empty_instance():
@@ -106,32 +98,10 @@ def test_pm_to_labeling_infeasible():
 
 def test_constraint_value_feasible_vector(rng):
     n, k = 3, 4
+    enc = encode_pm(MrfInstance(n, k))
     for _ in range(10):
         x = rng.integers(0, k, size=n)
-        y = labeling_to_pm(x, n, k)
-        Y = np.outer(y, y)
-        for i in range(n):
-            assert constraint_value(i, Y, k) == pytest.approx(2 - k)
-            assert constraint_value(i, y, k) == pytest.approx(2 - k)
-
-
-def test_constraint_value_identity_matrix():
-    n, k = 3, 3
-    Y = np.eye(n * k + 1)
-    for i in range(n):
-        assert constraint_value(i, Y, k) == 0.0
-
-
-def test_constraint_value_dense_trace_oracle(rng):
-    n, k = 3, 3
-    dim = n * k + 1
-    A = rng.standard_normal((dim, dim))
-    Y = A @ A.T
-    d = np.sqrt(np.diag(Y))
-    Y = Y / np.outer(d, d)  # PSD with unit diagonal
-    for i in range(n):
-        expected = np.trace(dense_constraint_matrix(i, n, k) @ Y)
-        assert constraint_value(i, Y, k) == pytest.approx(expected, abs=1e-12)
+        assert np.all(dual_gradient(enc, labeling_to_pm(x, n, k)[:, None]) == 0)
 
 
 def test_nnz_audit(rng):

@@ -28,10 +28,9 @@ def test_empty_instance():
 
 def test_unary_coefficient_value():
     enc = encode_zo(make_instance(1, 3, [(0, 1, 2.0)]))
-    G = enc.unary_block().toarray()
-    assert G[0, 1] == pytest.approx(-2.0)
-    # Q carries G/2 in the top-right block
-    assert enc.Q.toarray()[0, 1 + 1] == pytest.approx(-1.0)
+    # Q carries G/2 in the top-right N x K block, with G = -w at (node, label)
+    G = 2.0 * enc.Q[:1, 1:].toarray()
+    assert np.array_equal(G, [[0.0, -2.0, 0.0]])
 
 
 def test_exhaustive_equivalence_n4_k3(rng):
@@ -57,7 +56,8 @@ def test_energy_equivalence_property(seed):
 
 def test_edge_block_symmetric_zero_diagonal(rng):
     mrf = random_instance(rng, min_nodes=3)
-    H = encode_zo(mrf).edge_block().toarray()
+    n = mrf.num_nodes
+    H = encode_zo(mrf).Q[:n, :n].toarray()
     assert np.allclose(H, H.T)
     assert np.all(np.diag(H) == 0.0)
 

@@ -32,13 +32,10 @@ def test_unary_only_recovers_measured_labels():
 
 
 def test_relaxed_value_matches_independent_sdp_oracle():
-    # binary-matrix relaxation optimum (plus offset) for the dual-ascent
-    # module's TEST_INSTANCE, computed offline by
-    # scripts/standard_sdp_oracle.py --encoding zo (Douglas-Rachford with
-    # exact projections; residuals < 1e-12)
-    from test_dars import TEST_INSTANCE
+    # the dual-ascent module's TEST_INSTANCE and its binary-matrix relaxation
+    # optimum, computed offline by scripts/standard_sdp_oracle.py
+    from test_dars import ORACLE_ZO_RELAXED_OPTIMUM as oracle, TEST_INSTANCE
 
-    oracle = 0.13456934306300372
     res = fuses_solve(TEST_INSTANCE, seed=0)
     assert res.certified
     assert abs(res.f_relaxed - oracle) <= 0.005 * abs(oracle)

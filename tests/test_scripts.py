@@ -24,3 +24,17 @@ def test_script_runs(name, argv, rows, capsys):
     # a header, one row per size, then a summary comment
     assert len(lines) == rows + 2
     assert lines[-1].startswith("# ")
+
+
+@pytest.mark.parametrize("encoding, frozen", [
+    ("pm", "ORACLE_RELAXED_OPTIMUM"), ("zo", "ORACLE_ZO_RELAXED_OPTIMUM"),
+])
+def test_oracle_rederives_frozen_constants(encoding, frozen, capsys):
+    import test_dars
+
+    argv = ["--frozen-case", "--encoding", encoding]
+    assert load_script("standard_sdp_oracle").main(argv) == 0
+    line, = [s for s in capsys.readouterr().out.splitlines()
+             if s.startswith("relaxation objective + offset")]
+    value = float(line.split("=")[1])
+    assert value == pytest.approx(getattr(test_dars, frozen), rel=1e-12)

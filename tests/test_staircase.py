@@ -41,6 +41,8 @@ def test_solver_params_defaults_match_reference_table():
     assert p.tr_increase_factor == 2.5
     assert p.max_cg_iterations == 2000
     assert p.cg_success_eta == 0.9
+    # a config file may write 1 for 1.0
+    assert SolverParams(initial_tr_radius=1).initial_tr_radius == 1.0
 
 
 @pytest.mark.parametrize(
@@ -51,6 +53,11 @@ def test_solver_params_defaults_match_reference_table():
         dict(tr_increase_factor=0.5),
         dict(cg_success_eta=1.0),
         dict(max_tnt_iterations=0),
+        # counts are integers, and no field takes a bool or a string
+        dict(max_cg_iterations=2.5),
+        dict(max_cg_iterations=float("inf")),
+        dict(max_staircase_steps=True),
+        dict(grad_norm_tol="1e-2"),
     ],
 )
 def test_solver_params_validation(kwargs):
