@@ -47,8 +47,8 @@ METHODS = ("fuses", "dars", "icm", "exact")
 # for the field's default in SolverParams()/DARS_SOLVER_PARAMS
 _SOLVER_FLAG_HELP = {
     "grad_norm_tol": "gradient norm tolerance (default {fuses} fuses, {dars} dars)",
-    "eig_tol": "lift the rank when the smallest eigenvalue of the certificate "
-               "matrix S is below -EIG_TOL (default {fuses})",
+    "eig_tol": "lift the rank when the certificate's lower bound min_eig on "
+               "the smallest eigenvalue of S is below -EIG_TOL (default {fuses})",
 }
 # DualParams fields exposed as --dual-* flags
 _DUAL_FLAGS = ("step_size", "max_iterations", "grad_tol")
@@ -133,23 +133,43 @@ def _solve_payload(res: SolveResult) -> dict:
     }
 
 
+def _config_params(config: dict, block: str, cls):
+    """cls built from config[block]; a missing block, one that is not an
+    object or one with a key cls has no field for is an InvalidInputError
+    naming the block (and the key).  The values are checked by cls."""
+    if block not in config:
+        raise InvalidInputError(f"config has no {block!r} block")
+    values = config[block]
+    if not isinstance(values, dict):
+        raise InvalidInputError(
+            f"config block {block!r} must be an object, got {values!r}")
+    names = {f.name for f in fields(cls)}
+    for key in values:
+        if key not in names:
+            raise InvalidInputError(
+                f"config block {block!r} has unknown key {key!r}")
+    return cls(**values)
+
+
 def run_from_config(mrf: MrfInstance, config: dict) -> dict:
     """Run a solver as described by a result document's config block.
 
     Returns the payload (labeling, objectives, flags, staircase, dual,
     timing) shared by the solve and bench commands.  Rerunning the emitted
-    config reproduces the run.
+    config reproduces the run.  A malformed config is an InvalidInputError.
     """
+    if "method" not in config:
+        raise InvalidInputError("config has no 'method' key")
     method = config["method"]
     seed = config.get("seed", 0)
     if method == "fuses":
         return _solve_payload(fuses_solve(
-            mrf, params=SolverParams(**config["solver"]), seed=seed,
-            init=config.get("init", "random")))
+            mrf, params=_config_params(config, "solver", SolverParams),
+            seed=seed, init=config.get("init", "random")))
     if method == "dars":
         return _solve_payload(dars_solve(
-            mrf, params=SolverParams(**config["solver"]),
-            dual_params=DualParams(**config["dual"]), seed=seed))
+            mrf, params=_config_params(config, "solver", SolverParams),
+            dual_params=_config_params(config, "dual", DualParams), seed=seed))
     t0 = time.perf_counter()
     payload: dict = {
         "labeling": None,

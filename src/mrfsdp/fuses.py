@@ -14,13 +14,13 @@ lower_bound = that bound + offset (rounded down, see staircase._sum_down)
 
 holds without knowing f_opt, certified or not.  fuses_solve returns a
 staircase.SolveResult with the certificate fields lower_bound, min_eig and
-certificate set and the dual-ascent fields None: certificate "schur" means
-the bound came from the sphere block's Gershgorin discs and a K x K Schur
-complement, with min_eig the certified lower bound t* on lambda_min(S);
-"eigsh" means an eigen-solve, with min_eig its Ritz value theta.  Rounding
-reads the top-right N x K block of R R^T directly as R_top @ R_bottom^T
-(rank <= r already) and takes per-row argmax, ties broken toward the lowest
-label index.
+certificate set and the dual-ascent fields None.  min_eig is the lower
+bound t on lambda_min(S) that lower_bound was built from; certificate names
+its source: "schur", the sphere block's Gershgorin discs and a K x K Schur
+complement, or "eigsh", an eigen-solve whose Ritz value is charged its
+residual.  Rounding (fuses_round) reads the top-right N x K block of R R^T
+directly as R_top @ R_bottom^T (rank <= r already) and takes per-row
+argmax, ties broken toward the lowest label index.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from .encode_zo import encode_zo, labeling_to_zo, lift_labeling
+from .encode_zo import encode_zo, lift_labeling
 from .errors import InvalidInputError
 from .manifold import ManifoldShape, _as_rng, project_tangent, retract
 from .mrf import MrfInstance, energy, unary_argmax_labeling
@@ -37,20 +37,20 @@ from .staircase import SolveResult, SolverParams, _sum_down, staircase_solve
 
 
 def fuses_round(R, num_nodes: int, num_labels: int) -> np.ndarray:
-    """One-hot matrix from the factored top-right block of R R^T."""
+    """Labeling from the factored top-right block of R R^T: per-row argmax,
+    ties toward the lowest label."""
     R = np.asarray(R, dtype=float)
     if R.shape[0] != num_nodes + num_labels:
         raise InvalidInputError("factor row count mismatch")
-    frac = R[:num_nodes] @ R[num_nodes:].T
-    return labeling_to_zo(frac.argmax(axis=1), num_nodes, num_labels)
+    return (R[:num_nodes] @ R[num_nodes:].T).argmax(axis=1)
 
 
 def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
                 seed: int = 0, init: str = "random") -> SolveResult:
     """Full pipeline; init is "random" (default, no initial guess needed) or
     "unary" (lift the unary-argmax labeling, nudged by a small tangent).
-    The result's min_eig is the lower bound t* on lambda_min(S) when
-    certificate is "schur", and the Ritz value theta when it is "eigsh"."""
+    The result's min_eig is the lower bound t on lambda_min(S) behind
+    lower_bound, whichever certificate supplied it."""
     t0 = time.perf_counter()
     if params is None:
         params = SolverParams()
@@ -68,8 +68,7 @@ def fuses_solve(mrf: MrfInstance, params: SolverParams | None = None,
         raise InvalidInputError(f"unknown init mode {init!r}")
     res = staircase_solve(enc.Q, shape, params, warm_start=warm, seed_or_rng=rng)
     t_solve = time.perf_counter()
-    X = fuses_round(res.R_opt, n, k)
-    labeling = X.argmax(axis=1)
+    labeling = fuses_round(res.R_opt, n, k)
     f_relaxed = res.objective + enc.offset
     lower_bound = _sum_down(res.lower_bound, enc.offset)
     f_rounded = energy(mrf, labeling)

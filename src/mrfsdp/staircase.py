@@ -18,18 +18,20 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 * at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol (and a
   relative decrease 1e4x below rel_func_decrease_tol), so the multipliers
   read off R are accurate;
-* the multipliers (manifold._multipliers) are lambda_i = (M R)_i . R_i on
-  unit rows and Lambda_B = sym((M R)_B R_B^T) on the fixed anchor block B0,
-  and the certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
+* the multipliers (manifold._multipliers, computed once per rank from one
+  product M R) are lambda_i = (M R)_i . R_i on unit rows and Lambda_B =
+  sym((M R)_B R_B^T) on the fixed anchor block B0, and the certificate
+  matrix is S = M - blkdiag(Diag lambda, Lambda_B);
 * every feasible Y of the SDP (unit diagonal, Y_BB = I, Y psd) has trace
   m, the number of rows, so trace(M Y) = sum(lambda) + tr(Lambda_B) +
   trace(S Y) is at least
 
-      lower_bound = sum(lambda) + tr(Lambda_B) + min(0, lambda_min(S)) * m,
+      lower_bound = sum(lambda) + tr(Lambda_B) + min(0, t) * m
 
-  for any R at any weight scale, and so is the same sum with any t <=
-  lambda_min(S) in its place (_sum_down adds it up, rounded down so that
-  floating point cannot lift it).  sum(lambda) + tr(Lambda_B) equals
+  for any t <= lambda_min(S), for any R at any weight scale.  _dual_bound
+  owns this formula (rounded down by _sum_down, so that floating point
+  cannot lift it); each mechanism below only supplies t, and min_eig is
+  always the t that lower_bound used.  sum(lambda) + tr(Lambda_B) equals
   trace(M R R^T) exactly, so the gap f - lower_bound is the eigenvalue term
   alone;
 * with an anchor block, _schur_certificate tries first, with no
@@ -37,21 +39,21 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
   with X = R_s B^T, while Gershgorin discs prove the N x N sphere block
   A = M_ss - Diag lambda >= mu I, mu > 0.  A Schur complement over A then
   bounds lambda_min(S) below by t*, the smallest eigenvalue of a K x K
-  pencil (see its docstring).  Its result stands when it is within budget
-  ("certificate=schur"; min_eig is t*);
-* otherwise (and always without a block, as in dars) lambda_min(S) comes
-  from ARPACK (scipy eigsh, largest eigenvalue of the Gershgorin-shifted
+  pencil (see its docstring).  Its t* stands when its bound is within
+  budget ("certificate=schur");
+* otherwise (and always without a block, as in dars) _certificate runs
+  ARPACK (scipy eigsh, largest eigenvalue of the Gershgorin-shifted
   G I - S, G = max_i sum_j |S_ij|; a dense solve for m <= 300)
-  ("certificate=eigsh"; min_eig is theta).  The Ritz pair (theta, v) has
-  residual r = S v - theta v, and the bound uses theta - ||r||, so the
-  eigen-solver's error is charged against it.  If ARPACK does not converge,
-  the Gershgorin bound -G stands in for theta;
-* the run is certified when the gap is within 1e-5 max(1, |f|).  Otherwise,
-  when theta < -eig_tol, v is a direction of negative curvature one rank up
-  (Boumal, Voroninski, Bandeira, arXiv 1606.04970): R gains a zero column
-  and descends along v e_{r+1}^T, gauge-fixed so the anchor block stays
-  put (see the lift below), before TNT resumes at rank r + 1.  Otherwise
-  the staircase stops uncertified.
+  ("certificate=eigsh").  The Ritz pair (theta, v) has residual
+  r = S v - theta v, and t = theta - ||r||, so the eigen-solver's error is
+  charged against the bound.  If ARPACK does not converge, the Gershgorin
+  bound t = -G stands in;
+* the run is certified when the gap is within the budget
+  1e-5 max(1, |f|).  Otherwise, when t < -eig_tol, v is a direction of
+  negative curvature one rank up (Boumal, Voroninski, Bandeira, arXiv
+  1606.04970): R gains a zero column and descends along v e_{r+1}^T,
+  gauge-fixed so the anchor block stays put (see the lift below), before
+  TNT resumes at rank r + 1.  Otherwise the staircase stops uncertified.
 
 Default tolerances follow the reference parameterization: gradient norm
 1e-2 (the sign-vector pipeline tightens it, see dars.DARS_SOLVER_PARAMS),
@@ -109,7 +111,7 @@ _CERTIFY_RTOL = 1e-5
 # fast there, and ARPACK stalls on small matrices with clustered spectra
 _DENSE_EIG_ROWS = 300
 # ARPACK's tolerance keeps the charged residual ||r|| m within this share
-# of the certification budget _CERTIFY_RTOL * max(1, |f|)
+# of the certification budget
 _EIGSH_BUDGET_SHARE = 0.5
 # Krylov basis size: the smallest eigenvalues of S come in tight clusters
 # (one per column of R), which a larger basis resolves in far fewer restarts
@@ -357,20 +359,29 @@ def _sum_down(*terms) -> float:
     return math.fsum(flat) - 4.0 * _EPS * math.fsum(map(abs, flat))
 
 
-def _certificate(M, shape: ManifoldShape, R, rng):
-    """Dual bound on trace(M Y) over the SDP from the multipliers at R.
+def _dual_bound(lam, Lam_B, t) -> float:
+    """The dual bound sum(lambda) + tr(Lambda_B) + min(0, t) m on trace(M Y)
+    over the SDP, valid for any t <= lambda_min(S), rounded down by
+    _sum_down; m is the number of rows and Lam_B None without a block."""
+    diag = [lam] if Lam_B is None else [lam, np.diag(Lam_B)]
+    m = sum(map(len, diag))
+    return _sum_down(*diag, min(0.0, t) * m)
 
-    Returns (lower_bound, theta, v): theta estimates lambda_min(S) and v is
-    its unit eigenvector, or (Gershgorin bound, -G, None) when ARPACK does
-    not converge.
+
+def _certificate(M, lam, Lam_B, budget, rng):
+    """Lower bound on lambda_min(S) from one eigen-solve, for S = M -
+    blkdiag(Diag lam, Lam_B).
+
+    Returns (t, v): t = theta - ||S v - theta v|| for the Ritz pair
+    (theta, v), so the eigen-solver's error is charged, and v is the unit
+    Ritz vector; or (-G, None), the Gershgorin bound, when ARPACK does not
+    converge.  ARPACK's tolerance keeps the charged ||r|| m within
+    _EIGSH_BUDGET_SHARE of budget.
     """
-    lam, Lam_B = _multipliers(shape, R, M @ R)
     blocks = [sp.diags(lam)]
     if Lam_B is not None:
         blocks.append(sp.csr_matrix(Lam_B))
-    multipliers = sp.block_diag(blocks, format="csr")
-    diag = multipliers.diagonal()
-    S = (sp.csr_matrix(M) - multipliers).tocsr()
+    S = (sp.csr_matrix(M) - sp.block_diag(blocks, format="csr")).tocsr()
     m = S.shape[0]
     G = float(abs(S).sum(axis=1).max())
     if m <= _DENSE_EIG_ROWS:
@@ -378,18 +389,16 @@ def _certificate(M, shape: ManifoldShape, R, rng):
         theta, v = float(w[0]), vecs[:, 0]
     else:
         shift = G or 1.0  # S = 0 would make the shifted matrix 0
-        tol = (_EIGSH_BUDGET_SHARE * _CERTIFY_RTOL * max(1.0, abs(diag.sum()))
-               / (m * shift))
         try:
             mu, vecs = eigsh(shift * sp.identity(m, format="csr") - S, k=1,
                              which="LA", v0=rng.standard_normal(m), rng=rng,
-                             ncv=min(m, _EIGSH_NCV), tol=tol,
+                             ncv=min(m, _EIGSH_NCV),
+                             tol=_EIGSH_BUDGET_SHARE * budget / (m * shift),
                              maxiter=_EIGSH_MAXITER)
         except ArpackNoConvergence:
-            return _sum_down(diag, -G * m), -G, None
+            return -G, None
         theta, v = shift - float(mu[0]), vecs[:, 0]
-    charged = theta - float(np.linalg.norm(S @ v - theta * v))
-    return _sum_down(diag, min(0.0, charged) * m), theta, v
+    return theta - float(np.linalg.norm(S @ v - theta * v)), v
 
 
 def _sphere_offdiag_sums(M, ns) -> np.ndarray:
@@ -399,10 +408,11 @@ def _sphere_offdiag_sums(M, ns) -> np.ndarray:
     return np.bincount(C.row[off], weights=np.abs(C.data[off]), minlength=ns)
 
 
-def _schur_certificate(shape: ManifoldShape, R, MR, diag_M, offdiag):
-    """Dual bound from the sphere block's Gershgorin discs and K x K
-    algebra, with no eigen-solve; MR = M @ R, offdiag from
-    _sphere_offdiag_sums.
+def _schur_certificate(shape: ManifoldShape, R, MR, lam, Lam_B, diag_M,
+                       offdiag):
+    """Lower bound on lambda_min(S) from the sphere block's Gershgorin discs
+    and K x K algebra, with no eigen-solve; MR = M @ R, (lam, Lam_B) its
+    multipliers, offdiag from _sphere_offdiag_sums.
 
     Writes S = [[A, C], [C^T, D]] (A = M_ss - Diag lambda, C = M_sB,
     D = M_BB - Lambda_B) and needs A's Gershgorin bound mu > 0.  With
@@ -419,8 +429,8 @@ def _schur_certificate(shape: ManifoldShape, R, MR, diag_M, offdiag):
     lambda_min(S) >= t* = min(0, lambda_min(F - (e^2/mu) I, W)) whenever
     W > 0 and t* >= -eta mu.
 
-    Returns (lower_bound, t*), or None when a condition fails or the block
-    B is not orthonormal (then MR B^T is not M [X; I]).
+    Returns t*, or None when a condition fails or the block B is not
+    orthonormal (then MR B^T is not M [X; I]).
     """
     ns = shape.n_sphere_rows
     B = R[ns:]
@@ -428,7 +438,6 @@ def _schur_certificate(shape: ManifoldShape, R, MR, diag_M, offdiag):
     identity = np.eye(k)
     if not np.array_equal(B @ B.T, identity):
         return None
-    lam, Lam_B = _multipliers(shape, R, MR)
     mu = float(np.min(diag_M[:ns] - lam - offdiag)) if ns else math.inf
     if not mu > 0.0:
         return None
@@ -448,9 +457,7 @@ def _schur_certificate(shape: ManifoldShape, R, MR, diag_M, offdiag):
     except np.linalg.LinAlgError:  # W not positive definite
         return None
     t = min(0.0, float(w[0]))
-    if t < -_SCHUR_ETA * mu:
-        return None
-    return _sum_down(lam, np.diag(Lam_B), t * shape.total_rows), t
+    return None if t < -_SCHUR_ETA * mu else t
 
 
 # relative size of the escape perturbation before backtracking
@@ -479,10 +486,11 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
     iterations, gradient norm) entry to rank_history.  The result carries
     the last rank's point, objective, lower_bound, min_eig and
     certificate; certified means f - lower_bound is within _CERTIFY_RTOL *
-    max(1, |f|).  certificate names the mechanism behind the bound:
-    "schur" (_schur_certificate, tried first when shape has an anchor
-    block; min_eig is its lower bound t* on lambda_min(S)) or "eigsh"
-    (_certificate; min_eig is the Ritz value theta).  Progress goes to this
+    max(1, |f|).  min_eig is the lower bound t on lambda_min(S) that
+    lower_bound was built from (see _dual_bound), and certificate names the
+    mechanism that supplied it: "schur" (_schur_certificate, tried first
+    when shape has an anchor block) or "eigsh" (_certificate: a charged
+    Ritz value, or the Gershgorin bound).  Progress goes to this
     module's logger at INFO, one line per TNT step and per rank.
     """
     check_symmetric(M)
@@ -508,26 +516,31 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
     result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(params.max_staircase_steps):
         R, f, gnorm, iters = tnt_minimize(M, shape, R, refined, check=False)
+        MR = M @ R
+        lam, Lam_B = _multipliers(shape, R, MR)
         budget = _CERTIFY_RTOL * max(1.0, abs(f))
-        schur = None
+        t = lower = None
         if offdiag is not None:
-            schur = _schur_certificate(shape, R, M @ R, diag_M, offdiag)
-        if schur is not None and f - schur[0] <= budget:
-            (lower, theta), v, mechanism = schur, None, "schur"
+            t = _schur_certificate(shape, R, MR, lam, Lam_B, diag_M, offdiag)
+        if t is not None:
+            lower = _dual_bound(lam, Lam_B, t)
+        if lower is not None and f - lower <= budget:
+            v, mechanism = None, "schur"
         else:
-            (lower, theta, v), mechanism = _certificate(M, shape, R, rng), "eigsh"
+            (t, v), mechanism = _certificate(M, lam, Lam_B, budget, rng), "eigsh"
+            lower = _dual_bound(lam, Lam_B, t)
         result.rank_history.append((shape.rank, iters, gnorm))
         result.R_opt, result.objective = R, f
-        result.lower_bound, result.min_eig = lower, theta
+        result.lower_bound, result.min_eig = lower, t
         result.certificate = mechanism
         result.certified = f - lower <= budget
         logger.info(
             "staircase step=%d rank=%d f=%.12g grad_norm=%.6g "
             "lower_bound=%.12g min_eig=%.6g certified=%d certificate=%s",
-            step, shape.rank, f, gnorm, lower, theta, result.certified,
+            step, shape.rank, f, gnorm, lower, t, result.certified,
             mechanism,
         )
-        if (result.certified or v is None or theta >= -params.eig_tol
+        if (result.certified or v is None or t >= -params.eig_tol
                 or step == params.max_staircase_steps - 1):
             break
         # lift: a zero column keeps R R^T (and the objective) unchanged.  v

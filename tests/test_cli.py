@@ -165,6 +165,21 @@ def test_result_config_reproduces_run(small_instance, tmp_path):
         run_from_config(load_instance(str(small_instance)), doc["config"])
 
 
+@pytest.mark.parametrize("config,named", [
+    ({"method": "fuses", "solver": {"bogus": 1}}, "'solver'.*'bogus'"),
+    ({"method": "fuses", "solver": [1]}, "'solver'"),
+    ({"method": "fuses"}, "'solver'"),
+    ({"method": "dars", "solver": {}}, "'dual'"),
+    ({"method": "dars", "solver": {}, "dual": {"bogus": 1}}, "'dual'.*'bogus'"),
+    ({"solver": {}}, "'method'"),
+], ids=["unknown-solver-key", "solver-not-object", "no-solver", "no-dual",
+        "unknown-dual-key", "no-method"])
+def test_malformed_config_block_is_an_input_error(small_instance, config,
+                                                  named):
+    with pytest.raises(InvalidInputError, match=named):
+        run_from_config(load_instance(str(small_instance)), config)
+
+
 def test_eval_self_comparison(small_instance, tmp_path, capsys):
     exact_out = tmp_path / "exact.json"
     run_cli("solve", "--instance", small_instance, "--method", "exact",

@@ -282,10 +282,11 @@ def test_hessian_preconditioner_and_certificate_share_one_matrix(shape, rng):
     M = random_symmetric(rng, shape.total_rows)
     R = random_point(shape, rng)
     S = certificate_matrix_reference(M, shape, R)
-    lam = _multipliers(shape, R, M @ R)[0]
-    # the certificate's lambda_min is that of this S (dense path at this size)
-    _, theta, _ = _certificate(M, shape, R, np.random.default_rng(0))
-    assert theta == pytest.approx(np.linalg.eigvalsh(S)[0], abs=1e-12)
+    lam, Lam_B = _multipliers(shape, R, M @ R)
+    # the certificate's lambda_min is that of this S (dense path at this
+    # size, which does not read the budget)
+    t, _ = _certificate(M, lam, Lam_B, 1.0, np.random.default_rng(0))
+    assert t == pytest.approx(np.linalg.eigvalsh(S)[0], abs=1e-12)
     # Hess f(R)[V] = P_R(2 S V)
     hess = _hessian_operator(shape, R, M, lam)
     for _ in range(3):

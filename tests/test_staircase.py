@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 from fractions import Fraction
@@ -24,7 +25,6 @@ from mrfsdp import (
     staircase_solve,
     tnt_minimize,
     trace_quadratic,
-    zo_to_labeling,
 )
 from mrfsdp.manifold import _hessian_operator, _multipliers
 
@@ -131,7 +131,7 @@ def test_staircase_unary_only_certifies_first_rank():
     assert res.certified
     assert len(res.rank_history) == 1
     assert res.rank_history[0][0] == 4
-    labels = zo_to_labeling(fuses_round(res.R_opt, 4, 3))
+    labels = fuses_round(res.R_opt, 4, 3)
     assert np.array_equal(labels, [lab for _, lab, _ in unary])
 
 
@@ -234,35 +234,70 @@ def test_certificate_repeats_for_one_rng_state(monkeypatch):
     calls = []
     certificate = staircase._certificate
 
-    def recording_certificate(M, shape, R, rng):
-        calls.append((M, shape, R))
-        return certificate(M, shape, R, rng)
+    def recording_certificate(M, lam, Lam_B, budget, rng):
+        calls.append((M, lam, Lam_B, budget))
+        return certificate(M, lam, Lam_B, budget, rng)
 
     monkeypatch.setattr(staircase, "_certificate", recording_certificate)
     inst = generate_grid_instance(10, 10, 5, unary_noise=0.3, seed=3)
     dars_solve(inst, seed=2)
-    M, shape, R = calls[-1]
-    assert shape.total_rows > staircase._DENSE_EIG_ROWS
-    a, b = (certificate(M, shape, R, np.random.default_rng(0)) for _ in range(2))
-    assert a[:2] == b[:2]
-    assert np.array_equal(a[2], b[2])
+    args = calls[-1]
+    assert args[0].shape[0] > staircase._DENSE_EIG_ROWS
+    a, b = (certificate(*args, np.random.default_rng(0)) for _ in range(2))
+    assert a[0] == b[0]
+    assert np.array_equal(a[1], b[1])
+
+
+def _starve_arpack(monkeypatch):
+    """One restart of a 3-vector Krylov basis cannot converge."""
+    monkeypatch.setattr(staircase, "_EIGSH_MAXITER", 1)
+    monkeypatch.setattr(staircase, "_EIGSH_NCV", 3)
 
 
 def test_certificate_falls_back_to_gershgorin(monkeypatch):
     _decline_schur(monkeypatch)
     M, shape = _sparse_instance_cost()
     good = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
-    # one restart of a 3-vector Krylov basis cannot converge
-    monkeypatch.setattr(staircase, "_EIGSH_MAXITER", 1)
-    monkeypatch.setattr(staircase, "_EIGSH_NCV", 3)
+    _starve_arpack(monkeypatch)
     res = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
     assert not res.certified
     assert len(res.rank_history) == 1
-    # theta := -G, the Gershgorin bound max_i sum_j |S_ij| on |lambda_min(S)|
+    # t := -G, the Gershgorin bound max_i sum_j |S_ij| on |lambda_min(S)|
     assert res.min_eig < -1.0
     assert res.lower_bound == pytest.approx(
         res.objective + res.min_eig * shape.total_rows)
     assert res.lower_bound < good.lower_bound
+
+
+def _negated_edges_cost():
+    """fuses cost of a grid with every other edge weight negated: Gershgorin
+    fails on its sphere block, so the eigen-solve certifies it."""
+    inst = generate_grid_instance(16, 20, 3, unary_noise=0.3, seed=3)
+    w = inst.edge_weight.copy()
+    w[::2] *= -1.0
+    inst = dataclasses.replace(inst, edge_weight=w)
+    return encode_zo(inst).Q, ManifoldShape(inst.num_nodes, 3, 3)
+
+
+@pytest.mark.parametrize("path", ["schur", "eigsh", "gershgorin"])
+def test_lower_bound_is_rebuilt_from_min_eig(path, monkeypatch):
+    # one formula turns min_eig into lower_bound, whichever mechanism
+    # supplied it
+    if path == "schur":
+        inst = generate_grid_instance(4, 5, 3, unary_noise=0.3, seed=1)
+        M, shape = encode_zo(inst).Q, ManifoldShape(inst.num_nodes, 3, 3)
+    elif path == "eigsh":
+        M, shape = _negated_edges_cost()
+    else:
+        _decline_schur(monkeypatch)
+        _starve_arpack(monkeypatch)
+        M, shape = _sparse_instance_cost()
+    res = staircase_solve(M, shape, SolverParams(), seed_or_rng=2)
+    assert res.certificate == ("schur" if path == "schur" else "eigsh")
+    assert res.certified == (path != "gershgorin")
+    R = res.R_opt
+    lam, Lam_B = _multipliers(shape.with_rank(R.shape[1]), R, M @ R)
+    assert res.lower_bound == staircase._dual_bound(lam, Lam_B, res.min_eig)
 
 
 def certificate_matrix(M, shape, R):
@@ -279,10 +314,10 @@ def certificate_matrix(M, shape, R):
 
 def _schur_bound(M, shape, R):
     """The Schur certificate's t* at R, or None where it declines."""
-    out = staircase._schur_certificate(
-        shape, R, M @ R, M.diagonal(),
+    MR = M @ R
+    return staircase._schur_certificate(
+        shape, R, MR, *_multipliers(shape, R, MR), M.diagonal(),
         staircase._sphere_offdiag_sums(M, shape.n_sphere_rows))
-    return None if out is None else out[1]
 
 
 def _random_block_points(rng, count):
@@ -352,13 +387,15 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
     res = staircase_solve(M, shape, SolverParams(), seed_or_rng=0)
     assert res.certified and res.certificate == "schur"
     assert not calls
-    # min_eig is the bound t*, within the budget / m of the Ritz value on R
+    # min_eig is the bound t*, within the budget / m of the eigen-solve's
+    # charged bound on R
     R = res.R_opt
-    _, theta, _ = staircase._certificate(M, shape.with_rank(R.shape[1]), R,
-                                         np.random.default_rng(0))
-    assert calls
     budget = staircase._CERTIFY_RTOL * max(1.0, abs(res.objective))
-    assert abs(res.min_eig - theta) <= budget / shape.total_rows
+    t, _ = staircase._certificate(
+        M, *_multipliers(shape.with_rank(R.shape[1]), R, M @ R), budget,
+        np.random.default_rng(0))
+    assert calls
+    assert abs(res.min_eig - t) <= budget / shape.total_rows
 
 
 def test_sum_down_is_at_most_the_exact_sum():
