@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,23 +101,49 @@ def _local_tables(mrf: MrfInstance):
 
 def icm(mrf: MrfInstance, init, max_sweeps: int = 100):
     """Iterated conditional modes: sweep nodes in index order, moving each
-    to its locally optimal label; stops at a no-change sweep.  Returns
-    (labeling, energy); ties keep the current label, so a local optimum is
-    returned unchanged."""
+    to its locally optimal label; stops at a no-change sweep or after
+    max_sweeps sweeps.  Returns (labeling, energy); ties keep the current
+    label, so a local optimum is returned unchanged.
+
+    The sweeps visit only the nodes whose local costs may have changed.
+    Every node's costs are evaluated once, vectorized, and the nodes that
+    would move are queued.  Queued nodes are then visited in cyclic index
+    order; a node that moves queues its neighbours, those above it for this
+    sweep (a heap) and those below it for the next.  A node left out has
+    the costs of its last visit, at which it kept or took their argmin, so
+    a full sweep would leave it alone too: the result is the sweep's, move
+    for move, with each node's costs summed in the same order.
+    """
     x = validate_labeling(mrf, init).copy()
     unary_cost, nbr, nbr_w, ptr = _local_tables(mrf)
-    k = mrf.num_labels
+    n, k = mrf.num_nodes, mrf.num_labels
+    owner = np.repeat(np.arange(n), np.diff(ptr))
+    # a neighbour j disagrees with label l unless x[j] == l
+    w_sum = np.bincount(owner, nbr_w, n)
+    costs = unary_cost + (w_sum[:, None]
+                          - np.bincount(owner * k + x[nbr], nbr_w, n * k).reshape(n, k))
+    heap = np.flatnonzero(costs.min(axis=1) < costs[np.arange(n), x]).tolist()
+    queued = np.zeros(n, dtype=bool)
+    ptr = ptr.tolist()
     for _ in range(max_sweeps):
-        changed = False
-        for i in range(mrf.num_nodes):
+        queued[heap] = True
+        below = set()
+        while heap:
+            i = heapq.heappop(heap)
+            queued[i] = False
             nb = slice(ptr[i], ptr[i + 1])
-            w = nbr_w[nb]
-            # a neighbour j disagrees with label l unless x[j] == l
-            costs = unary_cost[i] + (w.sum() - np.bincount(x[nbr[nb]], w, k))
+            nbrs = nbr[nb]
+            costs = unary_cost[i] + (w_sum[i] - np.bincount(x[nbrs], nbr_w[nb], k))
             best = int(np.argmin(costs))
             if costs[best] < costs[x[i]]:
                 x[i] = best
-                changed = True
-        if not changed:
+                for j in nbrs.tolist():
+                    if j < i:
+                        below.add(j)
+                    elif not queued[j]:
+                        queued[j] = True
+                        heapq.heappush(heap, j)
+        if not below:
             break
+        heap = sorted(below)
     return x, energy(mrf, x)

@@ -49,6 +49,8 @@ _SOLVER_FLAG_HELP = {
     "grad_norm_tol": "gradient norm tolerance (default {fuses} fuses, {dars} dars)",
     "eig_tol": "lift the rank when the certificate's lower bound min_eig on "
                "the smallest eigenvalue of S is below -EIG_TOL (default {fuses})",
+    "initial_tr_radius": "initial trust radius in units of the point's size "
+                         "sqrt(N), N the number of unit rows (default 1)",
 }
 # DualParams fields exposed as --dual-* flags
 _DUAL_FLAGS = ("step_size", "max_iterations", "grad_tol")

@@ -10,7 +10,8 @@ parsed strictly: unknown keys are rejected at every level.  All writes are
 whole-file atomic (temp file + rename) and serialization is canonical
 (sorted keys, fixed indentation), so identical inputs give byte-identical
 files.  `dumps_instance` writes the instance text straight from the six term
-columns with one fixed template per term kind; the text is byte-identical to
+columns with one fixed template per term kind, filled for every term in one
+%-formatting pass; the text is byte-identical to
 `json.dumps(doc, indent=2, sort_keys=True) + "\n"` of the document above, and
 `instance_sha256` is the sha256 of that text.  `instance_from_doc` checks the
 term objects a column at a time and re-checks term by term only when a check
@@ -119,15 +120,20 @@ def instance_from_doc(doc) -> MrfInstance:
 # come from tolist(), so indices are ints and weights finite floats, whose
 # repr is exactly what json writes for them; the sizes may be numpy integers,
 # so they go through int().
-_UNARY_TERM = '    {{\n      "label": {},\n      "node": {},\n      "weight": {!r}\n    }}'
-_BINARY_TERM = '    {{\n      "i": {},\n      "j": {},\n      "weight": {!r}\n    }}'
+_UNARY_TERM = '    {\n      "label": %d,\n      "node": %d,\n      "weight": %r\n    }'
+_BINARY_TERM = '    {\n      "i": %d,\n      "j": %d,\n      "weight": %r\n    }'
 
 
 def _terms_text(template, *columns):
-    if not columns[0].size:
+    """The term list: the template repeated once per term and filled in one
+    % pass from the columns' values, interleaved term by term."""
+    n = columns[0].size
+    if not n:
         return "[]"
-    terms = map(template.format, *(c.tolist() for c in columns))
-    return "[\n" + ",\n".join(terms) + "\n  ]"
+    flat = [None] * (len(columns) * n)
+    for offset, column in enumerate(columns):
+        flat[offset::len(columns)] = column.tolist()
+    return "[\n" + ",\n".join([template] * n) % tuple(flat) + "\n  ]"
 
 
 def dumps_instance(mrf: MrfInstance) -> str:

@@ -58,8 +58,8 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 Default tolerances follow the reference parameterization: gradient norm
 1e-2 (the sign-vector pipeline tightens it, see dars.DARS_SOLVER_PARAMS),
 eigenvalue tolerance 1e-2, relative decrease 1e-5, 500 outer iterations,
-initial radius 1 (in the c-norm), radius factors 0.25 / 2.5, 2000 CG
-iterations, eta 0.9.
+initial radius 1 (in units of the point's size sqrt(N), the c-norm of N unit
+rows), radius factors 0.25 / 2.5, 2000 CG iterations, eta 0.9.
 """
 
 from __future__ import annotations
@@ -291,11 +291,15 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     """Minimize trace(M R R^T) from initial_point.
 
     Returns (point, objective, grad_norm, iterations).  Accepted steps
-    strictly decrease the objective; the radius, measured in the
-    preconditioner's norm ||s||_c (see _preconditioner; c has mean 1, so
-    initial_tr_radius keeps its scale), shrinks by alpha1 on rejected steps
-    and grows by alpha2 on very successful boundary steps.  check=False
-    skips the symmetry check of M (for callers that made it).
+    strictly decrease the objective; the radius is measured in the
+    preconditioner's norm ||s||_c (see _preconditioner) and starts at
+    initial_tr_radius times sqrt(N), N the number of sphere rows: c has mean
+    1, so that is the c-norm of the unit rows, the point's size.  The first
+    radius thus grows with the manifold, as Manopt's default (a fraction of
+    the typical distance; Boumal et al., JMLR 2014) does.  It shrinks by
+    alpha1 on rejected steps and grows by alpha2 on very successful boundary
+    steps.  check=False skips the symmetry check of M (for callers that made
+    it).
 
     The model (see _local_model) is built once per iterate and kept across
     rejected steps; its predicted decrease uses the Hs that truncated CG
@@ -314,7 +318,8 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         raise NumericalFailureError("non-finite objective at start", last_point=R)
     diag_M = M.diagonal()
     grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
-    radius = params.initial_tr_radius
+    # no sphere rows: the gradient is 0 and no step is taken
+    radius = params.initial_tr_radius * math.sqrt(max(shape.n_sphere_rows, 1))
     iterations = 0
     while iterations < params.max_tnt_iterations and gnorm >= params.grad_norm_tol:
         s, Hs, hit_boundary, cg_iters = _steihaug(

@@ -13,6 +13,8 @@ from mrfsdp import (
     icm,
     unary_argmax_labeling,
 )
+from mrfsdp.baselines import _local_tables
+from mrfsdp.mrf import validate_labeling
 
 from conftest import make_instance, random_instance
 
@@ -128,6 +130,53 @@ def test_icm_matches_sequential_reference(rng):
         init = rng.integers(0, mrf.num_labels, size=mrf.num_nodes)
         out, _ = icm(mrf, init)
         assert np.array_equal(out, icm_reference(mrf, init))
+
+
+def icm_sweep_reference(mrf, init, max_sweeps=100):
+    """The plain sweep icm implements: every node, in index order, every
+    sweep, with the per-node sum of neighbour weights taken by w.sum()."""
+    x = validate_labeling(mrf, init).copy()
+    unary_cost, nbr, nbr_w, ptr = _local_tables(mrf)
+    k = mrf.num_labels
+    for _ in range(max_sweeps):
+        changed = False
+        for i in range(mrf.num_nodes):
+            nb = slice(ptr[i], ptr[i + 1])
+            w = nbr_w[nb]
+            # a neighbour j disagrees with label l unless x[j] == l
+            costs = unary_cost[i] + (w.sum() - np.bincount(x[nbr[nb]], w, k))
+            best = int(np.argmin(costs))
+            if costs[best] < costs[x[i]]:
+                x[i] = best
+                changed = True
+        if not changed:
+            break
+    return x, energy(mrf, x)
+
+
+def _assert_icm_is_the_sweep(mrf, init):
+    # the caps stop mid-descent, where a wrong count of sweeps shows
+    for max_sweeps in (1, 2, 3, 100):
+        out, f = icm(mrf, init, max_sweeps=max_sweeps)
+        ref, f_ref = icm_sweep_reference(mrf, init, max_sweeps=max_sweeps)
+        assert np.array_equal(out, ref), max_sweeps
+        assert f == f_ref, max_sweeps
+
+
+def test_icm_worklist_equals_the_sweep_on_random_instances(rng):
+    # mixed-sign weights; degree < 8 keeps w.sum() a sequential sum, so the
+    # costs agree bit for bit
+    for _ in range(300):
+        mrf = random_instance(rng, max_nodes=8, max_labels=4, min_nodes=1)
+        _assert_icm_is_the_sweep(
+            mrf, rng.integers(0, mrf.num_labels, size=mrf.num_nodes))
+
+
+@pytest.mark.parametrize("rows, cols, k", [(25, 40, 19), (100, 100, 5)])
+def test_icm_worklist_equals_the_sweep_on_grids(rows, cols, k, rng):
+    inst = generate_grid_instance(rows, cols, k, unary_noise=0.3, seed=4)
+    _assert_icm_is_the_sweep(inst, unary_argmax_labeling(inst))
+    _assert_icm_is_the_sweep(inst, rng.integers(0, k, size=inst.num_nodes))
 
 
 def test_icm_output_is_one_flip_local_optimum(rng):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -548,6 +549,26 @@ def test_preconditioner_saves_hessian_products(monkeypatch):
     for a, b in zip(pre, plain):
         assert a.certified and b.certified
         assert np.array_equal(a.labeling, b.labeling)
+
+
+def test_initial_radius_is_relative_to_the_point(rng, caplog):
+    # the first radius is initial_tr_radius * sqrt(N) on N sphere rows; after
+    # one step it is at least a quarter of that, where a radius of 1 would
+    # be at most 2.5
+    inst = generate_grid_instance(25, 40, 19, unary_noise=0.3, seed=1)
+    shape = ManifoldShape(1000, 19, 19)
+    with caplog.at_level(logging.INFO, logger="mrfsdp.staircase"):
+        tnt_minimize(encode_zo(inst).Q, shape, random_point(shape, rng),
+                     SolverParams(max_tnt_iterations=1))
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("tnt iter=1 ")]
+    radius = float(re.search(r" radius=(\S+) ", line).group(1))
+    assert radius >= 0.25 * np.sqrt(1000), line
+    # one default serves every size
+    for rows, cols, k in [(3, 3, 3), (25, 40, 19)]:
+        res = fuses_solve(generate_grid_instance(rows, cols, k, unary_noise=0.3,
+                                                 seed=1), SolverParams(), seed=1)
+        assert res.certified, (rows, cols, k)
 
 
 def test_tnt_one_hessian_product_per_cg_iteration(rng, monkeypatch):
