@@ -14,7 +14,6 @@ import statistics
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .mrf import (
     KernelWeights,
     MrfInstance,
     UniformWeights,
+    _is_size,
     generate_grid_instance,
     unary_argmax_labeling,
 )
@@ -52,8 +52,6 @@ _SOLVER_FLAG_HELP = {
     "initial_tr_radius": "initial trust radius in units of the point's size "
                          "sqrt(N), N the number of unit rows (default 1)",
 }
-# DualParams fields exposed as --dual-* flags
-_DUAL_FLAGS = ("step_size", "max_iterations", "grad_tol")
 
 
 def _sci(x: float) -> str:
@@ -62,8 +60,9 @@ def _sci(x: float) -> str:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per SolverParams field and per _DUAL_FLAGS field, each
-    defaulting to None (= the method's base value, see _params_from_args)."""
+    """One flag per SolverParams field and one --dual-* flag per DualParams
+    field, each defaulting to None (= the method's base value, see
+    _params_from_args)."""
     g = parser.add_argument_group("solver parameters")
     for f in fields(SolverParams):
         text = _SOLVER_FLAG_HELP.get(f.name)
@@ -74,10 +73,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                            dars=_sci(getattr(DARS_SOLVER_PARAMS, f.name))))
     d = parser.add_argument_group("dual ascent parameters")
     for f in fields(DualParams):
-        if f.name in _DUAL_FLAGS:
-            d.add_argument("--dual-" + f.name.replace("_", "-"),
-                           dest="dual_" + f.name, type=type(f.default),
-                           default=None)
+        d.add_argument("--dual-" + f.name.replace("_", "-"),
+                       dest="dual_" + f.name, type=type(f.default),
+                       default=None)
 
 
 def _params_from_args(base, args, prefix: str = ""):
@@ -103,6 +101,13 @@ def _build_config(method: str, args, seed: int) -> dict:
     return config
 
 
+# the keys of a result document's objectives and flags blocks; an icm or
+# exact run sets objectives.f_rounded and leaves the others None
+_OBJECTIVE_KEYS = ("f_rounded", "f_relaxed", "subopt_bound", "dual_bound",
+                   "offset")
+_FLAG_KEYS = ("certified", "dual_converged")
+
+
 def _solve_payload(res: SolveResult) -> dict:
     """Result-document blocks of a fuses or dars run; staircase carries
     lower_bound/min_eig/certificate when set (fuses), dual is None unless
@@ -123,34 +128,43 @@ def _solve_payload(res: SolveResult) -> dict:
         }
     return {
         "labeling": [int(v) for v in res.labeling],
-        "objectives": {"f_rounded": res.f_rounded, "f_relaxed": res.f_relaxed,
-                       "subopt_bound": res.subopt_bound,
-                       "dual_bound": res.dual_bound, "offset": res.offset},
-        "flags": {"certified": bool(res.certified),
-                  "dual_converged": res.dual_converged,
-                  "divergence_warning": res.divergence_warning},
+        "objectives": {key: getattr(res, key) for key in _OBJECTIVE_KEYS},
+        "flags": {key: getattr(res, key) for key in _FLAG_KEYS},
         "staircase": staircase,
         "dual": dual,
         "timing": dict(res.timings),
     }
 
 
-def _config_params(config: dict, block: str, cls):
-    """cls built from config[block]; a missing block, one that is not an
-    object or one with a key cls has no field for is an InvalidInputError
-    naming the block (and the key).  The values are checked by cls."""
-    if block not in config:
-        raise InvalidInputError(f"config has no {block!r} block")
+def _config_block(config: dict, block: str, names) -> dict:
+    """config[block]; one that is not an object or that has a key not in
+    names is an InvalidInputError naming the block (and the key)."""
     values = config[block]
     if not isinstance(values, dict):
         raise InvalidInputError(
             f"config block {block!r} must be an object, got {values!r}")
-    names = {f.name for f in fields(cls)}
     for key in values:
         if key not in names:
             raise InvalidInputError(
                 f"config block {block!r} has unknown key {key!r}")
-    return cls(**values)
+    return values
+
+
+def _config_params(config: dict, block: str, cls):
+    """cls built from config[block], which must be there (see _config_block).
+    The values are checked by cls."""
+    if block not in config:
+        raise InvalidInputError(f"config has no {block!r} block")
+    return cls(**_config_block(config, block, {f.name for f in fields(cls)}))
+
+
+def _config_count(value, where: str, minimum=None):
+    """value if it is an integer (mrf._is_size) and at least minimum, else
+    an InvalidInputError naming where it was read."""
+    if not _is_size(value) or (minimum is not None and value < minimum):
+        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise InvalidInputError(f"config {where} must be {kind}, got {value!r}")
+    return value
 
 
 def run_from_config(mrf: MrfInstance, config: dict) -> dict:
@@ -175,28 +189,32 @@ def run_from_config(mrf: MrfInstance, config: dict) -> dict:
     t0 = time.perf_counter()
     payload: dict = {
         "labeling": None,
-        "objectives": {"f_rounded": None, "f_relaxed": None,
-                       "subopt_bound": None, "dual_bound": None, "offset": None},
-        "flags": {"certified": None, "dual_converged": None,
-                  "divergence_warning": None},
+        "objectives": dict.fromkeys(_OBJECTIVE_KEYS),
+        "flags": dict.fromkeys(_FLAG_KEYS),
         "staircase": None,
         "dual": None,
         "timing": {},
     }
     if method == "icm":
-        icm_cfg = config.get("icm", {})
+        icm_cfg = (_config_block(config, "icm", ("init", "max_sweeps"))
+                   if "icm" in config else {})
         init_mode = icm_cfg.get("init", "unary")
         if init_mode == "unary":
             init = unary_argmax_labeling(mrf)
         elif init_mode == "zeros":
             init = np.zeros(mrf.num_nodes, dtype=int)
         else:
-            raise InvalidInputError(f"unknown icm init {init_mode!r}")
-        labeling, f = icm(mrf, init, max_sweeps=icm_cfg.get("max_sweeps", 100))
+            raise InvalidInputError(
+                f"config block 'icm' key 'init' must be 'unary' or 'zeros', "
+                f"got {init_mode!r}")
+        max_sweeps = _config_count(icm_cfg.get("max_sweeps", 100),
+                                   "block 'icm' key 'max_sweeps'", minimum=0)
+        labeling, f = icm(mrf, init, max_sweeps=max_sweeps)
         payload["labeling"] = [int(v) for v in labeling]
         payload["objectives"]["f_rounded"] = f
     elif method == "exact":
-        res = brute_force(mrf, budget=config.get("budget", DEFAULT_BUDGET))
+        res = brute_force(mrf, budget=_config_count(
+            config.get("budget", DEFAULT_BUDGET), "key 'budget'"))
         payload["labeling"] = [int(v) for v in res.labeling]
         payload["objectives"]["f_rounded"] = res.f_opt
         payload["states_enumerated"] = res.states_enumerated
@@ -241,10 +259,8 @@ def _cmd_gen(args) -> int:
                               feature_noise=args.feature_noise)
     elif args.edge_model == "constant":
         model = ConstantWeights(value=args.edge_const)
-    elif args.edge_model == "uniform":
+    else:  # "uniform"
         model = UniformWeights(low=args.edge_lo, high=args.edge_hi)
-    else:
-        raise InvalidInputError(f"unknown edge model {args.edge_model!r}")
     inst, truth = generate_grid_instance(
         rows=args.rows, cols=args.cols, num_labels=args.labels,
         unary_noise=args.noise,
@@ -261,8 +277,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     mrf = formats.load_instance(args.instance)
-    if args.method not in METHODS:
-        raise InvalidInputError(f"unknown method {args.method!r}")
     config = _build_config(args.method, args, args.seed)
     try:
         payload = run_from_config(mrf, config)
@@ -349,58 +363,34 @@ def _mean_std(values):
     return statistics.fmean(vals), statistics.stdev(vals)
 
 
-@lru_cache(maxsize=None)
-def _bench_reference(rows, cols, k, noise, seed, budget):
-    """Exact optimum for a bench cell, shared across methods (or None when
-    the state space exceeds the budget)."""
-    inst = generate_grid_instance(rows=rows, cols=cols, num_labels=k,
-                                  unary_noise=noise, seed=seed)
-    try:
-        res = brute_force(inst, budget=budget)
-    except SizeRefusalError:
-        return None
-    return res.f_opt, tuple(int(v) for v in res.labeling)
-
-
 # the MetricsReport fields a bench cell reports, where the exact optimum is
 # known; a gap is None when f_opt = 0
 _GAP_KEYS = ("rounding_gap_pct", "relaxation_gap_pct", "percent_optimal_labels")
 
 
-def _bench_cell(size, k, config, args):
-    rows_, cols_ = size
-    records = []
-    for s in range(args.seeds):
-        seed = args.seed + s
-        inst = generate_grid_instance(
-            rows=rows_, cols=cols_, num_labels=k, unary_noise=args.noise,
-            seed=seed,
-        )
-        exact = None
-        if args.with_exact:
-            exact = _bench_reference(rows_, cols_, k, args.noise, seed,
-                                     args.budget)
-        rec = {"seed": seed, "error": None}
-        try:
-            t0 = time.perf_counter()
-            payload = run_from_config(inst, dict(config, seed=seed))
-            rec["time_ms"] = 1000.0 * (time.perf_counter() - t0)
-            obj = payload["objectives"]
-            rec["f_rounded"] = obj["f_rounded"]
-            rec["f_relaxed"] = obj.get("f_relaxed")
-            rec["subopt_bound"] = obj["subopt_bound"]
-            rec["certified"] = (payload["flags"] or {}).get("certified")
-            if exact is not None:
-                report = compute_metrics(
-                    payload["labeling"], obj["f_rounded"],
-                    f_relaxed=obj.get("f_relaxed"), exact_labeling=exact[1],
-                    f_opt=exact[0])
-                for key in _GAP_KEYS:
-                    rec[key] = getattr(report, key)
-        except (NumericalFailureError, SizeRefusalError, InvalidInputError) as exc:
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-        records.append(rec)
-    return records
+def _bench_run(inst: MrfInstance, config: dict, exact) -> dict:
+    """One bench record: the run config describes on inst, with its gaps
+    where exact, the brute-force result for inst, is not None."""
+    rec = {"seed": config["seed"], "error": None}
+    try:
+        t0 = time.perf_counter()
+        payload = run_from_config(inst, config)
+        rec["time_ms"] = 1000.0 * (time.perf_counter() - t0)
+        obj = payload["objectives"]
+        rec["f_rounded"] = obj["f_rounded"]
+        rec["f_relaxed"] = obj.get("f_relaxed")
+        rec["subopt_bound"] = obj["subopt_bound"]
+        rec["certified"] = (payload["flags"] or {}).get("certified")
+        if exact is not None:
+            report = compute_metrics(
+                payload["labeling"], obj["f_rounded"],
+                f_relaxed=obj.get("f_relaxed"), exact_labeling=exact.labeling,
+                f_opt=exact.f_opt)
+            for key in _GAP_KEYS:
+                rec[key] = getattr(report, key)
+    except (NumericalFailureError, SizeRefusalError, InvalidInputError) as exc:
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+    return rec
 
 
 _BENCH_COLUMNS = (
@@ -438,11 +428,28 @@ def _cmd_bench(args) -> int:
             raise InvalidInputError(f"unknown method {m!r}")
     # built before any run, so a bad solver flag is an input error here
     configs = {m: _build_config(m, args, args.seed) for m in methods}
-    args.with_exact = "exact" in methods or args.gaps
-    cells = [(size, k, m) for size in sizes for k in labels for m in methods]
-    all_records = [_bench_cell(size, k, configs[m], args) for size, k, m in cells]
+    with_exact = "exact" in methods or args.gaps
+    # each instance is generated, and brute-forced, once for all methods
+    rows = []  # (size, K, method, one record per seed) in output order
+    for size in sizes:
+        for k in labels:
+            cells = [(size, k, m, []) for m in methods]
+            for seed in range(args.seed, args.seed + args.seeds):
+                inst = generate_grid_instance(
+                    rows=size[0], cols=size[1], num_labels=k,
+                    unary_noise=args.noise, seed=seed)
+                exact = None
+                if with_exact:
+                    try:
+                        exact = brute_force(inst, budget=args.budget)
+                    except SizeRefusalError:
+                        pass  # too large to enumerate: no gaps
+                for _, _, m, records in cells:
+                    records.append(
+                        _bench_run(inst, dict(configs[m], seed=seed), exact))
+            rows += cells
     lines = ["\t".join(_BENCH_COLUMNS)]
-    for (size, k, m), records in zip(cells, all_records):
+    for size, k, m, records in rows:
         ok = [r for r in records if r["error"] is None]
         failed = len(records) - len(ok)
         cert = [r for r in ok if r.get("certified")]
@@ -469,11 +476,9 @@ def _cmd_export_matrix(args) -> int:
     if args.encoding == "pm":
         enc = encode_pm(mrf)
         M, offset = enc.L, enc.offset
-    elif args.encoding == "zo":
+    else:  # "zo"
         enc = encode_zo(mrf)
         M, offset = enc.Q, enc.offset
-    else:
-        raise InvalidInputError(f"unknown encoding {args.encoding!r}")
     coo = M.tocoo()
     order = np.lexsort((coo.col, coo.row))
     lines = [f"# encoding {args.encoding}", f"# dim {M.shape[0]}",

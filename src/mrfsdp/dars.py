@@ -10,6 +10,11 @@ trace(U_i Y) = 2 - K with multipliers lambda.  Each iteration:
            unchanged), warm-started from the previous factor;
   dual:    lambda_i += step * (trace(U_i R R^T) - (2 - K)).
 
+The loop stops when the constraint residual max_i |trace(U_i R R^T) - (2-K)|
+is below grad_tol (dual_converged) or after max_iterations, whichever comes
+first; nothing else ends it.  Since Y = R R^T has a unit diagonal, the
+residual never exceeds 2K - 2.
+
 The dual function d(lambda) = min_Y trace(L_lambda Y) - (2-K) sum(lambda)
 is a lower bound on the relaxation optimum for every lambda.  The primal
 minimum is itself bounded below by the staircase's dual certificate on
@@ -40,7 +45,6 @@ labels per block; argmax always yields one).
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -64,34 +68,9 @@ class DualParams:
     step_size: float = 0.005
     max_iterations: int = 1000
     grad_tol: float = 0.5
-    divergence_factor: float = 10.0
-    divergence_patience: int = 50
 
     def __post_init__(self):
         _check_params(self)
-
-
-class DivergenceMonitor:
-    """Flags a run whose residual exceeds `factor` times its running minimum
-    for `patience` consecutive iterations."""
-
-    def __init__(self, factor: float, patience: int):
-        self.factor = factor
-        self.patience = patience
-        self.best = math.inf
-        self.streak = 0
-
-    def update(self, residual: float) -> bool:
-        if residual < self.best:
-            self.best = residual
-            self.streak = 0
-        elif residual > self.factor * self.best:
-            self.streak += 1
-            if self.streak >= self.patience:
-                return True
-        else:
-            self.streak = 0
-        return False
 
 
 def dual_gradient(enc: PmEncoding, R) -> np.ndarray:
@@ -146,9 +125,6 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
     cert_hist: list = []
     rank_history: list = []
     converged = False
-    divergence_warning = False
-    monitor = DivergenceMonitor(dual_params.divergence_factor,
-                                dual_params.divergence_patience)
     iterations = 0
     for _ in range(dual_params.max_iterations):
         iterations += 1
@@ -160,7 +136,7 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         dual_bound = _sum_down(res.lower_bound, -enc.rhs * lam, enc.offset)
         cert_hist.append(res.certified)
         grad = dual_gradient(enc, R)
-        residual = float(np.max(np.abs(grad))) if n else 0.0
+        residual = float(np.max(np.abs(grad)))
         residuals.append(residual)
         logger.info(
             "dual iter=%d grad_inf_norm=%.6g primal_objective=%.12g rank=%d",
@@ -168,9 +144,6 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         )
         if residual < dual_params.grad_tol:
             converged = True
-            break
-        if monitor.update(residual):
-            divergence_warning = True
             break
         lam = lam + dual_params.step_size * grad
 
@@ -201,5 +174,4 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         dual_value_history=dual_values,
         residual_history=residuals,
         primal_certified_history=cert_hist,
-        divergence_warning=divergence_warning,
     )

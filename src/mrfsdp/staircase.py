@@ -194,7 +194,6 @@ class SolveResult:
     dual_value_history: list | None = None
     residual_history: list | None = None
     primal_certified_history: list | None = None
-    divergence_warning: bool | None = None
 
 
 def _inner(a, b) -> float:

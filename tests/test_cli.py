@@ -144,7 +144,6 @@ def test_solve_dars_default_config(small_instance, tmp_path):
     assert doc["config"]["solver"]["grad_norm_tol"] == 1e-3
     assert doc["config"]["dual"] == {
         "step_size": 0.005, "max_iterations": 1000, "grad_tol": 0.5,
-        "divergence_factor": 10.0, "divergence_patience": 50,
     }
     assert doc["flags"]["dual_converged"] is True
     assert doc["dual"]["constraint_residual_max"] < 0.5
@@ -178,6 +177,26 @@ def test_malformed_config_block_is_an_input_error(small_instance, config,
                                                   named):
     with pytest.raises(InvalidInputError, match=named):
         run_from_config(load_instance(str(small_instance)), config)
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"method": "icm", "icm": [1]}, "'icm'"),
+    ({"method": "icm", "icm": {"max_sweeps": "x"}}, "'icm'.*'max_sweeps'"),
+    ({"method": "icm", "icm": {"max_sweeps": 2.5}}, "'icm'.*'max_sweeps'"),
+    ({"method": "icm", "icm": {"max_sweeps": -1}}, "'icm'.*'max_sweeps'"),
+    ({"method": "icm", "icm": {"bogus": 1}}, "'icm'.*'bogus'"),
+    ({"method": "exact", "budget": "big"}, "'budget'"),
+], ids=["icm-not-object", "max-sweeps-string", "max-sweeps-float",
+        "max-sweeps-negative", "unknown-icm-key", "budget-string"])
+def test_malformed_icm_or_exact_config_is_an_input_error(small_instance,
+                                                         config, named):
+    with pytest.raises(InvalidInputError, match=named):
+        run_from_config(load_instance(str(small_instance)), config)
+
+
+def test_negative_icm_max_sweeps_flag_exits_2(small_instance):
+    assert run_cli("solve", "--instance", small_instance, "--method", "icm",
+                   "--icm-max-sweeps", "-1") == 2
 
 
 def test_eval_self_comparison(small_instance, tmp_path, capsys):
@@ -331,11 +350,12 @@ def test_bench_gaps_keep_their_sign_below_zero(tmp_path, monkeypatch):
     # every energy shifted by -100 (the same MAP problem) puts f_opt below
     # zero; a gap is a difference over |f_opt| and stays positive
     shift = 100.0
-    reference, run = cli._bench_reference, cli.run_from_config
+    reference, run = cli.brute_force, cli.run_from_config
 
-    def shifted_reference(*args):
-        f_opt, labels = reference(*args)
-        return f_opt - shift, labels
+    def shifted_reference(*args, **kwargs):
+        res = reference(*args, **kwargs)
+        res.f_opt -= shift
+        return res
 
     def shifted_run(inst, config):
         payload = run(inst, config)
@@ -343,7 +363,7 @@ def test_bench_gaps_keep_their_sign_below_zero(tmp_path, monkeypatch):
         payload["objectives"]["f_relaxed"] -= shift
         return payload
 
-    monkeypatch.setattr(cli, "_bench_reference", shifted_reference)
+    monkeypatch.setattr(cli, "brute_force", shifted_reference)
     monkeypatch.setattr(cli, "run_from_config", shifted_run)
     out = tmp_path / "table.tsv"
     assert run_cli("bench", "--sizes", "2x3", "--labels", "3",
@@ -469,7 +489,6 @@ _COMMON_KEYS = {
     "objectives", "objectives.f_rounded", "objectives.f_relaxed",
     "objectives.subopt_bound", "objectives.dual_bound", "objectives.offset",
     "flags", "flags.certified", "flags.dual_converged",
-    "flags.divergence_warning",
 }
 _SOLVER_KEYS = {"config.solver"} | {
     f"config.solver.{f.name}" for f in fields(SolverParams)}
@@ -497,11 +516,12 @@ def test_solve_document_key_set(method, small_instance, tmp_path):
     assert _key_paths(doc) == _EXPECTED_KEYS[method]
 
 
-# (config block, field, flag) for every solver and dual-ascent flag
+# (config block, field, flag) for every solver and dual-ascent flag: every
+# field of both parameter classes is a flag, none is config-only
 _PARAM_FLAGS = [("solver", f.name, "--" + f.name.replace("_", "-"))
                 for f in fields(SolverParams)] + [
-    ("dual", name, "--dual-" + name.replace("_", "-"))
-    for name in ("step_size", "max_iterations", "grad_tol")]
+    ("dual", f.name, "--dual-" + f.name.replace("_", "-"))
+    for f in fields(DualParams)]
 
 
 def _param_flags(command):
