@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeRefusalError
-from .mrf import MrfInstance, energy, validate_labeling
+from .mrf import MrfInstance, _check_count, energy, validate_labeling
 
 DEFAULT_BUDGET = 20_000_000
 _MAX_BLOCK_STATES = 1 << 17
@@ -42,8 +42,10 @@ def brute_force(mrf: MrfInstance, budget: int = DEFAULT_BUDGET) -> ExactResult:
     and reused across every prefix assignment, with only prefix-crossing
     edges re-evaluated per block.  States are scanned in lexicographic
     order with strict improvement, so ties resolve to the lexicographically
-    smallest labeling.
+    smallest labeling.  A budget that is not an integer >= 1 is an
+    InvalidInputError.
     """
+    _check_count(budget, "budget", 1)
     n, k = mrf.num_nodes, mrf.num_labels
     total = k ** n
     if total > budget:
@@ -113,7 +115,10 @@ def icm(mrf: MrfInstance, init, max_sweeps: int = 100):
     the costs of its last visit, at which it kept or took their argmin, so
     a full sweep would leave it alone too: the result is the sweep's, move
     for move, with each node's costs summed in the same order.
+
+    max_sweeps must be an integer >= 0, else InvalidInputError.
     """
+    _check_count(max_sweeps, "max_sweeps", 0)
     x = validate_labeling(mrf, init).copy()
     unary_cost, nbr, nbr_w, ptr = _local_tables(mrf)
     n, k = mrf.num_nodes, mrf.num_labels

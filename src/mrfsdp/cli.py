@@ -34,7 +34,7 @@ from .mrf import (
     KernelWeights,
     MrfInstance,
     UniformWeights,
-    _is_size,
+    _check_count,
     generate_grid_instance,
     unary_argmax_labeling,
 )
@@ -158,15 +158,6 @@ def _config_params(config: dict, block: str, cls):
     return cls(**_config_block(config, block, {f.name for f in fields(cls)}))
 
 
-def _config_count(value, where: str, minimum=None):
-    """value if it is an integer (mrf._is_size) and at least minimum, else
-    an InvalidInputError naming where it was read."""
-    if not _is_size(value) or (minimum is not None and value < minimum):
-        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise InvalidInputError(f"config {where} must be {kind}, got {value!r}")
-    return value
-
-
 def run_from_config(mrf: MrfInstance, config: dict) -> dict:
     """Run a solver as described by a result document's config block.
 
@@ -207,14 +198,14 @@ def run_from_config(mrf: MrfInstance, config: dict) -> dict:
             raise InvalidInputError(
                 f"config block 'icm' key 'init' must be 'unary' or 'zeros', "
                 f"got {init_mode!r}")
-        max_sweeps = _config_count(icm_cfg.get("max_sweeps", 100),
-                                   "block 'icm' key 'max_sweeps'", minimum=0)
+        max_sweeps = _check_count(icm_cfg.get("max_sweeps", 100),
+                                  "config block 'icm' key 'max_sweeps'", 0)
         labeling, f = icm(mrf, init, max_sweeps=max_sweeps)
         payload["labeling"] = [int(v) for v in labeling]
         payload["objectives"]["f_rounded"] = f
     elif method == "exact":
-        res = brute_force(mrf, budget=_config_count(
-            config.get("budget", DEFAULT_BUDGET), "key 'budget'"))
+        res = brute_force(mrf, budget=_check_count(
+            config.get("budget", DEFAULT_BUDGET), "config key 'budget'", 1))
         payload["labeling"] = [int(v) for v in res.labeling]
         payload["objectives"]["f_rounded"] = res.f_opt
         payload["states_enumerated"] = res.states_enumerated
@@ -417,6 +408,7 @@ def _parse_sizes(text):
 
 
 def _cmd_bench(args) -> int:
+    _check_count(args.seeds, "--seeds", 1)
     sizes = _parse_sizes(args.sizes)
     try:
         labels = [int(v) for v in args.labels.split(",")]

@@ -59,6 +59,15 @@ def _is_size(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _check_count(value, what: str, minimum: int):
+    """value if it is an integer (_is_size) of at least minimum, else an
+    InvalidInputError naming what it is."""
+    if not _is_size(value) or value < minimum:
+        raise InvalidInputError(
+            f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class MrfInstance:
     """Immutable MRF instance over validated, read-only term columns."""
@@ -216,26 +225,72 @@ def grid_edges(rows: int, cols: int) -> np.ndarray:
     return pairs[exists]
 
 
+# the bounded draws of _patch_labeling are replayed from 32-bit words
+_WORD = 1 << 32
+_WORD_MASK = _WORD - 1
+
+
 def _patch_labeling(rows, cols, num_labels, rng):
-    """Smooth ground truth by multi-source region growing from random seeds."""
+    """Smooth ground truth by multi-source region growing from random seeds.
+
+    Each step pops the frontier node at index rng.integers(len(frontier))
+    and gives its unlabeled neighbours (up, left, right, down) its label,
+    appending them to the frontier.  The indices are not drawn one call at a
+    time: they are replayed from blocks of raw 32-bit words, by the rule
+    numpy's Generator.integers applies to them (Lemire's bounded-integer
+    method): for h >= 2, m = word * h, a word is rejected while
+    m mod 2**32 < (2**32 - h) mod h, and the index is m >> 32; for h == 1 no
+    word is drawn.  A block holds len(frontier) - 1 words.  The next
+    len(frontier) - 1 pops all see a frontier of at least 2, and each takes
+    at least one word, so a block never holds a word that the per-call draws
+    would not have taken: the labels and the generator's state afterwards
+    are those of the per-call loop.  test_mrf.py checks both against that
+    loop (test_patch_labeling_replays_per_call_draws, and
+    test_patch_labeling_replays_a_rejected_word for the rejection) and pins
+    digests of seeded instances (test_grid_instance_golden).
+    """
     n = rows * cols
-    labels = np.full(n, -1, dtype=int)
+    labels = [-1] * n
     num_seeds = max(1, n // 8)
     seeds = rng.choice(n, size=num_seeds, replace=False)
-    labels[seeds] = rng.integers(0, num_labels, size=num_seeds)
-    neighbors = [[] for _ in range(n)]
-    for i, j in grid_edges(rows, cols).tolist():
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    frontier = list(seeds)
+    for node, label in zip(seeds.tolist(),
+                           rng.integers(0, num_labels, size=num_seeds).tolist()):
+        labels[node] = label
+    frontier = seeds.tolist()
+    words = iter(())
+    last = cols - 1
     while frontier:
-        k = int(rng.integers(len(frontier)))
+        h = len(frontier)
+        k = 0
+        if h > 1:
+            while True:
+                word = next(words, None)
+                if word is None:
+                    words = iter(rng.integers(0, _WORD, size=h - 1,
+                                              dtype=np.uint32).tolist())
+                    word = next(words)
+                m = word * h
+                low = m & _WORD_MASK
+                # (2**32 - h) % h < h, so it is computed only for low < h
+                if low >= h or low >= (_WORD - h) % h:
+                    break
+            k = m >> 32
         node = frontier.pop(k)
-        for nb in neighbors[node]:
-            if labels[nb] < 0:
-                labels[nb] = labels[node]
-                frontier.append(nb)
-    return labels
+        label = labels[node]
+        c = node % cols
+        if node >= cols and labels[node - cols] < 0:
+            labels[node - cols] = label
+            frontier.append(node - cols)
+        if c > 0 and labels[node - 1] < 0:
+            labels[node - 1] = label
+            frontier.append(node - 1)
+        if c < last and labels[node + 1] < 0:
+            labels[node + 1] = label
+            frontier.append(node + 1)
+        if node + cols < n and labels[node + cols] < 0:
+            labels[node + cols] = label
+            frontier.append(node + cols)
+    return np.array(labels, dtype=int)
 
 
 def generate_grid_instance(

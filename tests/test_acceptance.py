@@ -20,6 +20,7 @@ from mrfsdp import (
     ManifoldShape,
     SolverParams,
     brute_force,
+    compute_metrics,
     dars_solve,
     encode_pm,
     encode_zo,
@@ -284,9 +285,13 @@ def test_criterion_7_gap_trend():
                 exact = brute_force(inst)
                 assert min(candidates) >= exact.f_opt - 1e-9
                 candidates.append(exact.f_opt)
-            f_best = min(candidates)
-            if f_best != 0.0:
-                gaps.append(100.0 * (f_best - res.f_relaxed) / f_best)
+            # the relaxation gap as compute_metrics takes it: a percentage
+            # of |f_best|, none when f_best is 0
+            gap = compute_metrics(res.labeling, res.f_rounded,
+                                  f_relaxed=res.f_relaxed,
+                                  f_opt=min(candidates)).relaxation_gap_pct
+            if gap is not None:
+                gaps.append(gap)
         medians.append(float(np.median(gaps)))
     s_stat, p = mann_kendall_positive_p(medians)
     ok = s_stat <= 0 or p > 0.05

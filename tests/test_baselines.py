@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrfsdp import (
+    InvalidInputError,
     MrfInstance,
     SizeRefusalError,
     brute_force,
@@ -59,6 +60,31 @@ def test_budget_refusal():
     # small budgets refuse small instances too
     with pytest.raises(SizeRefusalError):
         brute_force(MrfInstance(3, 3), budget=26)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mrf: icm(mrf, np.zeros(3, dtype=int), max_sweeps=-1),
+    lambda mrf: icm(mrf, np.zeros(3, dtype=int), max_sweeps=2.5),
+    lambda mrf: icm(mrf, np.zeros(3, dtype=int), max_sweeps="3"),
+    lambda mrf: icm(mrf, np.zeros(3, dtype=int), max_sweeps=True),
+    lambda mrf: brute_force(mrf, budget="big"),
+    lambda mrf: brute_force(mrf, budget=0),
+    lambda mrf: brute_force(mrf, budget=10.0),
+], ids=["icm-negative", "icm-float", "icm-string", "icm-bool",
+        "budget-string", "budget-zero", "budget-float"])
+def test_counts_are_checked(call):
+    # an integer in the mrf._is_size sense: max_sweeps >= 0, budget >= 1
+    with pytest.raises(InvalidInputError, match="must be an integer >= "):
+        call(make_instance(3, 2, [(0, 1, 1.0)], [(0, 1, 1.0), (1, 2, 1.0)]))
+
+
+def test_counts_at_their_minimum_run():
+    mrf = make_instance(3, 2, [(0, 1, 1.0)], [(0, 1, 1.0), (1, 2, 1.0)])
+    start = np.zeros(3, dtype=int)
+    out, _ = icm(mrf, start, max_sweeps=np.int64(0))
+    assert np.array_equal(out, start)
+    with pytest.raises(SizeRefusalError):
+        brute_force(mrf, budget=1)
 
 
 def test_brute_force_matches_direct_scan(rng):

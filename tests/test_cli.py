@@ -186,8 +186,10 @@ def test_malformed_config_block_is_an_input_error(small_instance, config,
     ({"method": "icm", "icm": {"max_sweeps": -1}}, "'icm'.*'max_sweeps'"),
     ({"method": "icm", "icm": {"bogus": 1}}, "'icm'.*'bogus'"),
     ({"method": "exact", "budget": "big"}, "'budget'"),
+    ({"method": "exact", "budget": 0}, "'budget'"),
 ], ids=["icm-not-object", "max-sweeps-string", "max-sweeps-float",
-        "max-sweeps-negative", "unknown-icm-key", "budget-string"])
+        "max-sweeps-negative", "unknown-icm-key", "budget-string",
+        "budget-zero"])
 def test_malformed_icm_or_exact_config_is_an_input_error(small_instance,
                                                          config, named):
     with pytest.raises(InvalidInputError, match=named):
@@ -398,6 +400,16 @@ def test_bench_malformed_tokens_exit_2(tmp_path):
                    "--methods", "fuses") == 2
     assert run_cli("bench", "--sizes", "2x2", "--labels", "2",
                    "--methods", "solver-nine") == 2
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_bench_seeds_below_one_exit_2(seeds, tmp_path, capsys):
+    # no table of empty rows: the count is an input error, as in the library
+    out = tmp_path / "table.tsv"
+    assert run_cli("bench", "--sizes", "2x2", "--labels", "2", "--methods",
+                   "icm", "--seeds", seeds, "--out", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --seeds must be an integer >= 1")
 
 
 @pytest.mark.parametrize("method,flag,value", [
