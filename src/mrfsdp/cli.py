@@ -47,10 +47,6 @@ METHODS = ("fuses", "dars", "icm", "exact")
 # for the field's default in SolverParams()/DARS_SOLVER_PARAMS
 _SOLVER_FLAG_HELP = {
     "grad_norm_tol": "gradient norm tolerance (default {fuses} fuses, {dars} dars)",
-    "eig_tol": "lift the rank when the certificate's lower bound min_eig on "
-               "the smallest eigenvalue of S is below -EIG_TOL (default {fuses})",
-    "initial_tr_radius": "initial trust radius in units of the point's size "
-                         "sqrt(N), N the number of unit rows (default 1)",
 }
 
 
@@ -168,7 +164,7 @@ def run_from_config(mrf: MrfInstance, config: dict) -> dict:
     if "method" not in config:
         raise InvalidInputError("config has no 'method' key")
     method = config["method"]
-    seed = config.get("seed", 0)
+    seed = _check_count(config.get("seed", 0), "config key 'seed'", 0)
     if method == "fuses":
         return _solve_payload(fuses_solve(
             mrf, params=_config_params(config, "solver", SolverParams),

@@ -40,6 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateStepError, InvalidInputError
+from .mrf import _seeded_rng
 
 _SPHERE_COLLAPSE_TOL = 1e-14
 
@@ -77,7 +78,7 @@ class ManifoldShape:
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+    return _seeded_rng(seed_or_rng)
 
 
 def _check_point(shape: ManifoldShape, R) -> np.ndarray:

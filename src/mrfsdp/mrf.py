@@ -68,6 +68,11 @@ def _check_count(value, what: str, minimum: int):
     return value
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """default_rng(seed) for a seed that is an integer >= 0 (_check_count)."""
+    return np.random.default_rng(_check_count(seed, "seed", 0))
+
+
 @dataclass(frozen=True, eq=False)
 class MrfInstance:
     """Immutable MRF instance over validated, read-only term columns."""
@@ -309,10 +314,9 @@ def generate_grid_instance(
     whose measured label equals the truth with probability 1 - unary_noise
     (uniform wrong label otherwise).  Edge weights follow the given model.
     """
-    if rows < 1 or cols < 1:
-        raise InvalidInputError("rows and cols must be >= 1")
-    if num_labels < 2:
-        raise InvalidInputError("num_labels must be >= 2")
+    _check_count(rows, "rows", 1)
+    _check_count(cols, "cols", 1)
+    _check_count(num_labels, "num_labels", 2)
     if not (0.0 <= unary_noise <= 1.0):
         raise InvalidInputError("unary_noise must be a probability in [0, 1]")
     lo, hi = float(unary_weight_range[0]), float(unary_weight_range[1])
@@ -321,7 +325,7 @@ def generate_grid_instance(
     if binary_weight_model is None:
         binary_weight_model = KernelWeights()
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     n = rows * cols
     k = num_labels
     truth = _patch_labeling(rows, cols, k, rng)

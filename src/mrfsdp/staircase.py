@@ -15,9 +15,8 @@ staircase_solve wraps TNT in a Burer-Monteiro rank staircase certified by a
 dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 1612.07386):
 
-* at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol (and a
-  relative decrease 1e4x below rel_func_decrease_tol), so the multipliers
-  read off R are accurate;
+* at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol, so
+  the multipliers read off R are accurate;
 * the multipliers (manifold._multipliers, computed once per rank from one
   product M R) are lambda_i = (M R)_i . R_i on unit rows and Lambda_B =
   sym((M R)_B R_B^T) on the fixed anchor block B0, and the certificate
@@ -49,24 +48,25 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
   charged against the bound.  If ARPACK does not converge, the Gershgorin
   bound t = -G stands in;
 * the run is certified when the gap is within the budget
-  1e-5 max(1, |f|).  Otherwise, when t < -eig_tol, v is a direction of
+  1e-5 max(1, |f|).  Otherwise, when t < -_EIG_TOL, v is a direction of
   negative curvature one rank up (Boumal, Voroninski, Bandeira, arXiv
   1606.04970): R gains a zero column and descends along v e_{r+1}^T,
   gauge-fixed so the anchor block stays put (see the lift below), before
   TNT resumes at rank r + 1.  Otherwise the staircase stops uncertified.
 
-Default tolerances follow the reference parameterization: gradient norm
-1e-2 (the sign-vector pipeline tightens it, see dars.DARS_SOLVER_PARAMS),
-eigenvalue tolerance 1e-2, relative decrease 1e-5, 500 outer iterations,
-initial radius 1 (in units of the point's size sqrt(N), the c-norm of N unit
-rows), radius factors 0.25 / 2.5, 2000 CG iterations, eta 0.9.
+SolverParams holds the one setting callers vary, the gradient norm
+tolerance (1e-2; 1e-3 in dars.DARS_SOLVER_PARAMS).  The rest of the
+reference parameterization is fixed below: eigenvalue tolerance 1e-2, 500
+TNT iterations, initial radius 1 (in units of the point's size sqrt(N), the
+c-norm of N unit rows), radius factors 0.25 / 2.5, 2000 CG iterations, eta
+0.9, 10 staircase steps, and TNT ends below a relative decrease of 1e-9.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -90,21 +90,31 @@ from .mrf import _is_size
 
 logger = logging.getLogger(__name__)
 
-# trust-region quality thresholds (standard values; the table's eta drives
-# the CG residual test below)
+# trust-region quality thresholds (standard values; _CG_ETA drives the CG
+# residual test below)
 _ACCEPT_RATIO = 0.1
 _VERY_SUCCESSFUL_RATIO = 0.9
 _CG_THETA = 0.5
 _MIN_RADIUS = 1e-14
+# the reference parameterization's fixed settings (see the module docstring)
+_EIG_TOL = 1e-2
+_MAX_TNT_ITERATIONS = 500
+_INITIAL_TR_RADIUS = 1.0
+_TR_DECREASE_FACTOR = 0.25
+_TR_INCREASE_FACTOR = 2.5
+_MAX_CG_ITERATIONS = 2000
+_CG_ETA = 0.9
+_MAX_STAIRCASE_STEPS = 10
+# TNT stops on an accepted step that lowers f by < this * max(1, |f|)
+_REL_DECREASE_TOL = 1e-9
 # floor of the CG preconditioner, relative to its largest |entry|: a row
 # whose Hessian diagonal is tiny or negative would otherwise get a huge step
 # or make the preconditioner indefinite
 _PRECON_FLOOR = 1e-2
-# TNT tolerances before a certificate, relative to grad_norm_tol and
-# rel_func_decrease_tol: the gap f - lower_bound grows with the gradient
-# norm at R, and ARPACK stalls on S at loosely converged points
+# TNT's gradient tolerance before a certificate, relative to grad_norm_tol:
+# the gap f - lower_bound grows with the gradient norm at R, and ARPACK
+# stalls on S at loosely converged points
 _REFINE_GRAD_FACTOR = 1e-3
-_REFINE_DECREASE_FACTOR = 1e-4
 # certified when f - lower_bound <= _CERTIFY_RTOL * max(1, |f|)
 _CERTIFY_RTOL = 1e-5
 # certificate matrices up to this size get a dense eigen-solve: it is as
@@ -139,22 +149,9 @@ def _check_params(params) -> None:
 @dataclass(frozen=True)
 class SolverParams:
     grad_norm_tol: float = 1e-2
-    eig_tol: float = 1e-2
-    rel_func_decrease_tol: float = 1e-5
-    max_tnt_iterations: int = 500
-    initial_tr_radius: float = 1.0
-    tr_decrease_factor: float = 0.25
-    tr_increase_factor: float = 2.5
-    max_cg_iterations: int = 2000
-    cg_success_eta: float = 0.9
-    max_staircase_steps: int = 10
 
     def __post_init__(self):
         _check_params(self)
-        if not (self.tr_decrease_factor < 1.0 < self.tr_increase_factor):
-            raise InvalidInputError("need 0 < alpha1 < 1 < alpha2")
-        if not (self.cg_success_eta < 1.0):
-            raise InvalidInputError("need 0 < eta < 1")
 
 
 @dataclass
@@ -292,13 +289,15 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     Returns (point, objective, grad_norm, iterations).  Accepted steps
     strictly decrease the objective; the radius is measured in the
     preconditioner's norm ||s||_c (see _preconditioner) and starts at
-    initial_tr_radius times sqrt(N), N the number of sphere rows: c has mean
-    1, so that is the c-norm of the unit rows, the point's size.  The first
-    radius thus grows with the manifold, as Manopt's default (a fraction of
-    the typical distance; Boumal et al., JMLR 2014) does.  It shrinks by
-    alpha1 on rejected steps and grows by alpha2 on very successful boundary
-    steps.  check=False skips the symmetry check of M (for callers that made
-    it).
+    _INITIAL_TR_RADIUS times sqrt(N), N the number of sphere rows: c has
+    mean 1, so that is the c-norm of the unit rows, the point's size.  The
+    first radius thus grows with the manifold, as Manopt's default (a
+    fraction of the typical distance; Boumal et al., JMLR 2014) does.  It
+    shrinks by _TR_DECREASE_FACTOR on rejected steps and grows by
+    _TR_INCREASE_FACTOR on very successful boundary steps.  TNT stops at
+    params.grad_norm_tol, after _MAX_TNT_ITERATIONS steps, or on an accepted
+    step whose relative decrease is below _REL_DECREASE_TOL.  check=False
+    skips the symmetry check of M (for callers that made it).
 
     The model (see _local_model) is built once per iterate and kept across
     rejected steps; its predicted decrease uses the Hs that truncated CG
@@ -318,13 +317,11 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     diag_M = M.diagonal()
     grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
     # no sphere rows: the gradient is 0 and no step is taken
-    radius = params.initial_tr_radius * math.sqrt(max(shape.n_sphere_rows, 1))
+    radius = _INITIAL_TR_RADIUS * math.sqrt(max(shape.n_sphere_rows, 1))
     iterations = 0
-    while iterations < params.max_tnt_iterations and gnorm >= params.grad_norm_tol:
+    while iterations < _MAX_TNT_ITERATIONS and gnorm >= params.grad_norm_tol:
         s, Hs, hit_boundary, cg_iters = _steihaug(
-            grad, hess, precon, radius, params.max_cg_iterations,
-            params.cg_success_eta,
-        )
+            grad, hess, precon, radius, _MAX_CG_ITERATIONS, _CG_ETA)
         predicted = -(_inner(grad, s) + 0.5 * _inner(s, Hs))
         R_new = retract(shape, R, s)
         MR_new = M @ R_new
@@ -335,13 +332,13 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         rho = (f - f_new) / predicted if predicted > 0.0 else -math.inf
         accepted = rho >= _ACCEPT_RATIO and f_new < f
         if accepted:
-            stop = (f - f_new) / max(1.0, abs(f)) < params.rel_func_decrease_tol
+            stop = (f - f_new) / max(1.0, abs(f)) < _REL_DECREASE_TOL
             if rho >= _VERY_SUCCESSFUL_RATIO and hit_boundary:
-                radius *= params.tr_increase_factor
+                radius *= _TR_INCREASE_FACTOR
             R, f, MR = R_new, f_new, MR_new
             grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
         else:
-            radius *= params.tr_decrease_factor
+            radius *= _TR_DECREASE_FACTOR
             stop = radius < _MIN_RADIUS
         logger.info(
             "tnt iter=%d accepted=%d f=%.12g grad_norm=%.6g radius=%.6g "
@@ -506,11 +503,7 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
         shape = shape.with_rank(R.shape[1])
     else:
         R = random_point(shape, rng)
-    refined = replace(
-        params,
-        grad_norm_tol=params.grad_norm_tol * _REFINE_GRAD_FACTOR,
-        rel_func_decrease_tol=params.rel_func_decrease_tol * _REFINE_DECREASE_FACTOR,
-    )
+    refined = SolverParams(params.grad_norm_tol * _REFINE_GRAD_FACTOR)
 
     offdiag = None
     if shape.bottom_block_rows:
@@ -518,7 +511,7 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
         diag_M = M.diagonal()
 
     result = StaircaseResult(R_opt=R, objective=math.nan)
-    for step in range(params.max_staircase_steps):
+    for step in range(_MAX_STAIRCASE_STEPS):
         R, f, gnorm, iters = tnt_minimize(M, shape, R, refined, check=False)
         MR = M @ R
         lam, Lam_B = _multipliers(shape, R, MR)
@@ -544,8 +537,8 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
             step, shape.rank, f, gnorm, lower, t, result.certified,
             mechanism,
         )
-        if (result.certified or v is None or t >= -params.eig_tol
-                or step == params.max_staircase_steps - 1):
+        if (result.certified or v is None or t >= -_EIG_TOL
+                or step == _MAX_STAIRCASE_STEPS - 1):
             break
         # lift: a zero column keeps R R^T (and the objective) unchanged.  v
         # in the new column is orthogonal to every row of the lifted point,

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 import mrfsdp
 import mrfsdp.cli as cli
+import mrfsdp.staircase as staircase
 from mrfsdp import (
     DARS_SOLVER_PARAMS,
     DualParams,
@@ -125,14 +126,12 @@ def test_solve_fuses_default_config(small_instance, tmp_path):
     run_cli("solve", "--instance", small_instance, "--method", "fuses",
             "--out", out)
     doc = load_result(str(out))
-    assert doc["config"]["solver"]["grad_norm_tol"] == 1e-2
-    assert doc["config"]["solver"]["eig_tol"] == 1e-2
-    assert doc["config"]["solver"]["max_tnt_iterations"] == 500
+    assert doc["config"]["solver"] == {"grad_norm_tol": 1e-2}
     assert doc["flags"]["certified"] is True
     assert doc["staircase"]["rank_history"][0][0] == 2  # K
     assert doc["objectives"]["subopt_bound"] == \
         doc["objectives"]["f_rounded"] - doc["staircase"]["lower_bound"]
-    assert abs(doc["staircase"]["min_eig"]) < doc["config"]["solver"]["eig_tol"]
+    assert abs(doc["staircase"]["min_eig"]) < staircase._EIG_TOL
     assert doc["staircase"]["certificate"] == "schur"
 
 
@@ -159,20 +158,23 @@ def test_result_config_reproduces_run(small_instance, tmp_path):
                               doc["config"])
     assert payload["labeling"] == doc["labeling"]
     assert payload["objectives"] == doc["objectives"]
-    doc["config"]["solver"]["max_cg_iterations"] = 2.5
+    doc["config"]["solver"]["grad_norm_tol"] = "1e-2"
     with pytest.raises(InvalidInputError):
         run_from_config(load_instance(str(small_instance)), doc["config"])
 
 
 @pytest.mark.parametrize("config,named", [
     ({"method": "fuses", "solver": {"bogus": 1}}, "'solver'.*'bogus'"),
+    # a block written when the staircase's fixed settings were parameters
+    ({"method": "fuses", "solver": {"grad_norm_tol": 1e-2, "eig_tol": 1e-2}},
+     "'solver'.*'eig_tol'"),
     ({"method": "fuses", "solver": [1]}, "'solver'"),
     ({"method": "fuses"}, "'solver'"),
     ({"method": "dars", "solver": {}}, "'dual'"),
     ({"method": "dars", "solver": {}, "dual": {"bogus": 1}}, "'dual'.*'bogus'"),
     ({"solver": {}}, "'method'"),
-], ids=["unknown-solver-key", "solver-not-object", "no-solver", "no-dual",
-        "unknown-dual-key", "no-method"])
+], ids=["unknown-solver-key", "removed-solver-key", "solver-not-object",
+        "no-solver", "no-dual", "unknown-dual-key", "no-method"])
 def test_malformed_config_block_is_an_input_error(small_instance, config,
                                                   named):
     with pytest.raises(InvalidInputError, match=named):
@@ -194,6 +196,34 @@ def test_malformed_icm_or_exact_config_is_an_input_error(small_instance,
                                                          config, named):
     with pytest.raises(InvalidInputError, match=named):
         run_from_config(load_instance(str(small_instance)), config)
+
+
+@pytest.mark.parametrize("method", ["fuses", "dars", "icm", "exact"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_config_seed_must_be_a_non_negative_integer(small_instance, method,
+                                                    seed):
+    config = _config(method)
+    config["seed"] = seed
+    with pytest.raises(InvalidInputError, match="'seed'"):
+        run_from_config(load_instance(str(small_instance)), config)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--rows", 2, "--cols", 2, "--labels", 2, "--out", "g.json"),
+    ("solve", "--method", "fuses", "--instance"),
+    ("bench", "--sizes", "2x2", "--labels", "2", "--methods", "icm",
+     "--seeds", 1),
+], ids=["gen", "solve", "bench"])
+def test_negative_seed_flag_exits_2(argv, small_instance, tmp_path, capsys):
+    if argv[0] == "solve":
+        argv += (small_instance,)
+    if argv[0] == "gen":
+        argv = argv[:-1] + (tmp_path / "g.json",)
+    assert run_cli(*argv, "--seed", -1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert err.endswith(" must be an integer >= 0, got -1\n")
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_negative_icm_max_sweeps_flag_exits_2(small_instance):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mrfsdp.staircase as staircase
 from mrfsdp import (
     DualParams,
     InvalidInputError,
@@ -212,8 +213,8 @@ def test_weak_duality_and_rounding_bound():
     exact = brute_force(TEST_INSTANCE)
     res = dars_solve(TEST_INSTANCE, seed=0)
     assert res.dual_converged and res.certified
-    # certified iterates carry up to eig_tol * trace(Y) of value fuzz
-    slack = SolverParams().eig_tol * (9 * 2 + 1)
+    # certified iterates carry up to _EIG_TOL * trace(Y) of value fuzz
+    slack = staircase._EIG_TOL * (9 * 2 + 1)
     for d, cert in zip(res.dual_value_history, res.primal_certified_history):
         if cert:
             assert d + res.offset <= exact.f_opt + slack

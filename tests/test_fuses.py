@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mrfsdp import (
+    InvalidInputError,
     brute_force,
+    dars_solve,
     fuses_round,
     fuses_solve,
     generate_grid_instance,
@@ -193,3 +195,11 @@ def test_progress_follows_logger_level(caplog):
         fuses_solve(inst, seed=0)
     assert any(r.getMessage().startswith("staircase step=")
                for r in caplog.records)
+
+
+@pytest.mark.parametrize("solve", [fuses_solve, dars_solve])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seed_must_be_a_non_negative_integer(solve, seed):
+    inst = generate_grid_instance(2, 2, 2, unary_noise=0.3, seed=1)
+    with pytest.raises(InvalidInputError, match="seed"):
+        solve(inst, seed=seed)

@@ -425,6 +425,13 @@ def test_kernel_weight_errors():
              binary_weight_model=KernelWeights(beta=-5.0)),
         dict(rows=1, cols=1, num_labels=2,
              binary_weight_model=KernelWeights(beta=math.nan)),
+        # sizes and the seed are integers, not floats or bools, and the seed
+        # is not negative
+        dict(rows=2.0, cols=2, num_labels=2),
+        dict(rows=2, cols=2, num_labels=2.5),
+        dict(rows=True, cols=2, num_labels=2),
+        dict(rows=2, cols=2, num_labels=2, seed=-1),
+        dict(rows=2, cols=2, num_labels=2, seed=0.5),
     ],
 )
 def test_generate_errors(kwargs):

@@ -33,32 +33,30 @@ from conftest import make_instance
 
 
 def test_solver_params_defaults_match_reference_table():
-    p = SolverParams()
-    assert p.eig_tol == 1e-2
-    assert p.rel_func_decrease_tol == 1e-5
-    assert p.max_tnt_iterations == 500
-    assert p.initial_tr_radius == 1.0
-    assert p.tr_decrease_factor == 0.25
-    assert p.tr_increase_factor == 2.5
-    assert p.max_cg_iterations == 2000
-    assert p.cg_success_eta == 0.9
+    assert [f.name for f in dataclasses.fields(SolverParams)] == ["grad_norm_tol"]
+    assert SolverParams().grad_norm_tol == 1e-2
     # a config file may write 1 for 1.0
-    assert SolverParams(initial_tr_radius=1).initial_tr_radius == 1.0
+    assert SolverParams(grad_norm_tol=1).grad_norm_tol == 1
+    # the rest of the reference table is fixed in the module
+    assert staircase._EIG_TOL == 1e-2
+    assert staircase._REL_DECREASE_TOL == 1e-9
+    assert staircase._MAX_TNT_ITERATIONS == 500
+    assert staircase._INITIAL_TR_RADIUS == 1.0
+    assert staircase._TR_DECREASE_FACTOR == 0.25
+    assert staircase._TR_INCREASE_FACTOR == 2.5
+    assert staircase._MAX_CG_ITERATIONS == 2000
+    assert staircase._CG_ETA == 0.9
+    assert staircase._MAX_STAIRCASE_STEPS == 10
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(grad_norm_tol=0.0),
-        dict(tr_decrease_factor=1.5),
-        dict(tr_increase_factor=0.5),
-        dict(cg_success_eta=1.0),
-        dict(max_tnt_iterations=0),
-        # counts are integers, and no field takes a bool or a string
-        dict(max_cg_iterations=2.5),
-        dict(max_cg_iterations=float("inf")),
-        dict(max_staircase_steps=True),
+        # no field takes a string or a bool
         dict(grad_norm_tol="1e-2"),
+        dict(grad_norm_tol=True),
+        dict(grad_norm_tol=float("nan")),
     ],
 )
 def test_solver_params_validation(kwargs):
@@ -552,14 +550,14 @@ def test_preconditioner_saves_hessian_products(monkeypatch):
 
 
 def test_initial_radius_is_relative_to_the_point(rng, caplog):
-    # the first radius is initial_tr_radius * sqrt(N) on N sphere rows; after
-    # one step it is at least a quarter of that, where a radius of 1 would
-    # be at most 2.5
+    # the first radius is _INITIAL_TR_RADIUS * sqrt(N) on N sphere rows;
+    # after one step it is at least a quarter of that, where a radius of 1
+    # would be at most 2.5
     inst = generate_grid_instance(25, 40, 19, unary_noise=0.3, seed=1)
     shape = ManifoldShape(1000, 19, 19)
     with caplog.at_level(logging.INFO, logger="mrfsdp.staircase"):
         tnt_minimize(encode_zo(inst).Q, shape, random_point(shape, rng),
-                     SolverParams(max_tnt_iterations=1))
+                     SolverParams())
     (line,) = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("tnt iter=1 ")]
     radius = float(re.search(r" radius=(\S+) ", line).group(1))
