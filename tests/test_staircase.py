@@ -57,6 +57,12 @@ def test_solver_params_defaults_match_reference_table():
         dict(grad_norm_tol="1e-2"),
         dict(grad_norm_tol=True),
         dict(grad_norm_tol=float("nan")),
+        # a tolerance is a positive real number
+        dict(grad_norm_tol=-1e-2),
+        dict(grad_norm_tol=-float("inf")),
+        dict(grad_norm_tol=0),
+        dict(grad_norm_tol=None),
+        dict(grad_norm_tol=1e-2j),
     ],
 )
 def test_solver_params_validation(kwargs):
