@@ -15,8 +15,12 @@ staircase_solve wraps TNT in a Burer-Monteiro rank staircase certified by a
 dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 1612.07386):
 
-* at each rank, TNT runs to a gradient norm 1000x below grad_norm_tol, so
-  the multipliers read off R are accurate;
+* at each rank, TNT runs to grad_norm_tol, and with an anchor block the
+  Schur test below is tried there first: the bound holds at any R, so a
+  point it certifies ends the rank.  Only when it does not certify (and
+  always without a block) does TNT go on to a gradient norm 1000x below
+  grad_norm_tol, where the multipliers read off R are accurate, and the
+  Schur test and then the eigen-solve are tried at that point;
 * the multipliers (manifold._multipliers, computed once per rank from one
   product M R) are lambda_i = (M R)_i . R_i on unit rows and Lambda_B =
   sym((M R)_B R_B^T) on the fixed anchor block B0, and the certificate
@@ -111,9 +115,9 @@ _REL_DECREASE_TOL = 1e-9
 # whose Hessian diagonal is tiny or negative would otherwise get a huge step
 # or make the preconditioner indefinite
 _PRECON_FLOOR = 1e-2
-# TNT's gradient tolerance before a certificate, relative to grad_norm_tol:
-# the gap f - lower_bound grows with the gradient norm at R, and ARPACK
-# stalls on S at loosely converged points
+# TNT's gradient tolerance, relative to grad_norm_tol, after the Schur test
+# declines at grad_norm_tol: the gap f - lower_bound grows with the gradient
+# norm at R, and ARPACK stalls on S at loosely converged points
 _REFINE_GRAD_FACTOR = 1e-3
 # certified when f - lower_bound <= _CERTIFY_RTOL * max(1, |f|)
 _CERTIFY_RTOL = 1e-5
@@ -148,6 +152,11 @@ def _check_params(params) -> None:
 
 @dataclass(frozen=True)
 class SolverParams:
+    """grad_norm_tol is TNT's gradient target before each rank's first
+    (Schur) certificate attempt.  TNT runs on to grad_norm_tol *
+    _REFINE_GRAD_FACTOR (1000x below) only when that attempt does not
+    certify, and always before an eigen-solve."""
+
     grad_norm_tol: float = 1e-2
 
     def __post_init__(self):
@@ -403,10 +412,15 @@ def _certificate(M, lam, Lam_B, budget, rng):
 
 
 def _sphere_offdiag_sums(M, ns) -> np.ndarray:
-    """sum_{j != i} |M_ij| over the sphere block (i, j < ns)."""
-    C = sp.coo_matrix(sp.csr_matrix(M)[:ns, :ns])
-    off = C.row != C.col
-    return np.bincount(C.row[off], weights=np.abs(C.data[off]), minlength=ns)
+    """sum_{j != i} |M_ij| over the sphere block (i, j < ns), in one pass
+    over the first ns rows of M's CSR arrays (sorted or not)."""
+    C = sp.csr_matrix(M)
+    end = C.indptr[ns]
+    rows = np.repeat(np.arange(ns), np.diff(C.indptr[:ns + 1]))
+    cols = C.indices[:end]
+    off = (cols < ns) & (cols != rows)
+    return np.bincount(rows[off], weights=np.abs(C.data[:end][off]),
+                       minlength=ns)
 
 
 def _schur_certificate(shape: ManifoldShape, R, MR, lam, Lam_B, diag_M,
@@ -484,7 +498,9 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
 
     The start rank is shape.rank (from a random point), unless warm_start
     is given: then its column count is.  Each rank appends one (rank, TNT
-    iterations, gradient norm) entry to rank_history.  The result carries
+    iterations, gradient norm) entry to rank_history: the iterations of
+    both TNT stages (see the module docstring) and the gradient norm at the
+    rank's final point.  The result carries
     the last rank's point, objective, lower_bound, min_eig and
     certificate; certified means f - lower_bound is within _CERTIFY_RTOL *
     max(1, |f|).  min_eig is the lower bound t on lambda_min(S) that
@@ -510,19 +526,28 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
         offdiag = _sphere_offdiag_sums(M, shape.n_sphere_rows)
         diag_M = M.diagonal()
 
+    # the Schur test is cheap, so it is first tried at the loose point; the
+    # eigen-solve needs the refined one
+    stages = (params, refined) if offdiag is not None else (refined,)
+
     result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(_MAX_STAIRCASE_STEPS):
-        R, f, gnorm, iters = tnt_minimize(M, shape, R, refined, check=False)
-        MR = M @ R
-        lam, Lam_B = _multipliers(shape, R, MR)
-        budget = _CERTIFY_RTOL * max(1.0, abs(f))
-        t = lower = None
-        if offdiag is not None:
-            t = _schur_certificate(shape, R, MR, lam, Lam_B, diag_M, offdiag)
-        if t is not None:
-            lower = _dual_bound(lam, Lam_B, t)
-        if lower is not None and f - lower <= budget:
-            v, mechanism = None, "schur"
+        iters = 0
+        for stage in stages:
+            R, f, gnorm, n = tnt_minimize(M, shape, R, stage, check=False)
+            iters += n
+            MR = M @ R
+            lam, Lam_B = _multipliers(shape, R, MR)
+            budget = _CERTIFY_RTOL * max(1.0, abs(f))
+            t = lower = None
+            if offdiag is not None:
+                t = _schur_certificate(shape, R, MR, lam, Lam_B, diag_M,
+                                       offdiag)
+            if t is not None:
+                lower = _dual_bound(lam, Lam_B, t)
+            if lower is not None and f - lower <= budget:
+                v, mechanism = None, "schur"
+                break
         else:
             (t, v), mechanism = _certificate(M, lam, Lam_B, budget, rng), "eigsh"
             lower = _dual_bound(lam, Lam_B, t)

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 import mrfsdp.staircase as staircase
 from mrfsdp import (
+    DARS_SOLVER_PARAMS,
     InvalidInputError,
     ManifoldShape,
     NumericalFailureError,
@@ -392,6 +393,12 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
     res = staircase_solve(M, shape, SolverParams(), seed_or_rng=0)
     assert res.certified and res.certificate == "schur"
     assert not calls
+    # Schur certifies the loose TNT point at rank K: no refinement, so the
+    # gradient norm stays above the refined target
+    [(rank, iters, gnorm)] = res.rank_history
+    assert rank == k
+    assert iters == {(25, 40, 19): 6, (100, 100, 5): 7}[rows, cols, k]
+    assert gnorm < SolverParams().grad_norm_tol
     # min_eig is the bound t*, within the budget / m of the eigen-solve's
     # charged bound on R
     R = res.R_opt
@@ -401,6 +408,92 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
         np.random.default_rng(0))
     assert calls
     assert abs(res.min_eig - t) <= budget / shape.total_rows
+
+
+def _record_stages(monkeypatch, declines=0):
+    """Record ("tnt", grad_norm_tol), "schur" and "eigsh" in call order; the
+    first `declines` Schur tests return None."""
+    events = []
+    tnt, schur, certificate = (staircase.tnt_minimize,
+                               staircase._schur_certificate,
+                               staircase._certificate)
+
+    def recording_tnt(M, shape, R, params, **kw):
+        events.append(("tnt", params.grad_norm_tol))
+        return tnt(M, shape, R, params, **kw)
+
+    def recording_schur(*args):
+        events.append("schur")
+        if events.count("schur") <= declines:
+            return None
+        return schur(*args)
+
+    def recording_certificate(*args):
+        events.append("eigsh")
+        return certificate(*args)
+
+    monkeypatch.setattr(staircase, "tnt_minimize", recording_tnt)
+    monkeypatch.setattr(staircase, "_schur_certificate", recording_schur)
+    monkeypatch.setattr(staircase, "_certificate", recording_certificate)
+    return events
+
+
+def _fuses_large_staircase():
+    inst = generate_grid_instance(25, 40, 19, unary_noise=0.3, seed=0)
+    return staircase_solve(encode_zo(inst).Q, ManifoldShape(1000, 19, 19),
+                           SolverParams(), seed_or_rng=0)
+
+
+def test_schur_certified_rank_runs_tnt_once(monkeypatch):
+    events = _record_stages(monkeypatch)
+    res = _fuses_large_staircase()
+    assert res.certified and res.certificate == "schur"
+    assert events == [("tnt", SolverParams().grad_norm_tol), "schur"]
+
+
+@pytest.mark.parametrize("declines", [1, 2])
+def test_declined_schur_refines_before_the_eigen_solve(declines, monkeypatch):
+    events = _record_stages(monkeypatch, declines)
+    res = _fuses_large_staircase()
+    tol = SolverParams().grad_norm_tol
+    refined = tol * staircase._REFINE_GRAD_FACTOR
+    assert events[:4] == [("tnt", tol), "schur", ("tnt", refined), "schur"]
+    # the refined point certifies by Schur, unless it declines there too
+    assert res.certified
+    if declines == 1:
+        assert len(events) == 4 and res.certificate == "schur"
+    else:
+        assert events[4] == "eigsh" and res.certificate == "eigsh"
+    assert res.rank_history[0][2] < refined
+
+
+def test_no_block_staircase_runs_only_refined_tnt(monkeypatch):
+    events = _record_stages(monkeypatch)
+    inst = generate_grid_instance(3, 3, 2, unary_noise=0.3, seed=0)
+    dars_solve(inst, seed=0)
+    refined = DARS_SOLVER_PARAMS.grad_norm_tol * staircase._REFINE_GRAD_FACTOR
+    tnt_calls = [e for e in events if e != "eigsh"]
+    assert tnt_calls and set(tnt_calls) == {("tnt", refined)}
+    # each rank's refined point goes straight to the eigen-solve
+    assert events[::2] == tnt_calls and set(events[1::2]) == {"eigsh"}
+
+
+def test_sphere_offdiag_sums_match_dense_row_sums():
+    rng = np.random.default_rng(5)
+    points = list(_random_block_points(rng, 50))
+    # the same matrix with each row's entries in reverse order
+    C = points[0][0].tocsr()
+    order = np.concatenate([np.arange(a, b)[::-1]
+                            for a, b in zip(C.indptr[:-1], C.indptr[1:])])
+    unsorted = sp.csr_matrix((C.data[order], C.indices[order], C.indptr),
+                             shape=C.shape)
+    assert not unsorted.has_sorted_indices
+    for M, shape, _ in points + [(unsorted, points[0][1], None)]:
+        ns = shape.n_sphere_rows
+        A = np.abs(M.toarray()[:ns, :ns])
+        np.fill_diagonal(A, 0.0)
+        np.testing.assert_allclose(staircase._sphere_offdiag_sums(M, ns),
+                                   A.sum(axis=1), rtol=1e-14, atol=0.0)
 
 
 def test_sum_down_is_at_most_the_exact_sum():
