@@ -46,9 +46,9 @@ METHODS = ("fuses", "dars", "icm", "exact")
 # help text of the solver flags that carry one; "{fuses}"/"{dars}" stand
 # for the field's default in SolverParams()/DARS_SOLVER_PARAMS
 _SOLVER_FLAG_HELP = {
-    "grad_norm_tol": ("TNT's gradient norm target before the first (Schur) "
-                      "certificate attempt; it refines 1000x below only when "
-                      "that attempt does not certify, and always before an "
+    "grad_norm_tol": ("TNT's gradient norm below which each accepted point "
+                      "gets a (Schur) certificate attempt; it refines 1000x "
+                      "below only while none certifies, and always before an "
                       "eigen-solve (default {fuses} fuses, {dars} dars)"),
 }
 

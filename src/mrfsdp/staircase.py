@@ -15,16 +15,17 @@ staircase_solve wraps TNT in a Burer-Monteiro rank staircase certified by a
 dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
 1612.07386):
 
-* at each rank, TNT runs to grad_norm_tol, and with an anchor block the
-  Schur test below is tried there first: the bound holds at any R, so a
-  point it certifies ends the rank.  Only when it does not certify (and
-  always without a block) does TNT go on to a gradient norm 1000x below
-  grad_norm_tol, where the multipliers read off R are accurate, and the
-  Schur test and then the eigen-solve are tried at that point;
-* the multipliers (manifold._multipliers, computed once per rank from one
-  product M R) are lambda_i = (M R)_i . R_i on unit rows and Lambda_B =
-  sym((M R)_B R_B^T) on the fixed anchor block B0, and the certificate
-  matrix is S = M - blkdiag(Diag lambda, Lambda_B);
+* at each rank, one TNT run heads for a gradient norm 1000x below
+  grad_norm_tol, where the multipliers read off R are accurate.  With an
+  anchor block, the Schur test below is tried at every accepted point
+  below grad_norm_tol (and at the point TNT ends on): the bound holds at
+  any R, so the first point it certifies ends the rank, and after a point
+  it declines TNT takes one more step.  The eigen-solve runs only at the
+  refined point, where the Schur test has declined (or without a block);
+* the multipliers (manifold._multipliers, computed at each point tested
+  from one product M R) are lambda_i = (M R)_i . R_i on unit rows and
+  Lambda_B = sym((M R)_B R_B^T) on the fixed anchor block B0, and the
+  certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
 * every feasible Y of the SDP (unit diagonal, Y_BB = I, Y psd) has trace
   m, the number of rows, so trace(M Y) = sum(lambda) + tr(Lambda_B) +
   trace(S Y) is at least
@@ -115,9 +116,9 @@ _REL_DECREASE_TOL = 1e-9
 # whose Hessian diagonal is tiny or negative would otherwise get a huge step
 # or make the preconditioner indefinite
 _PRECON_FLOOR = 1e-2
-# TNT's gradient tolerance, relative to grad_norm_tol, after the Schur test
-# declines at grad_norm_tol: the gap f - lower_bound grows with the gradient
-# norm at R, and ARPACK stalls on S at loosely converged points
+# TNT's gradient tolerance, relative to grad_norm_tol, when no Schur test
+# certifies on the way: the gap f - lower_bound grows with the gradient norm
+# at R, and ARPACK stalls on S at loosely converged points
 _REFINE_GRAD_FACTOR = 1e-3
 # certified when f - lower_bound <= _CERTIFY_RTOL * max(1, |f|)
 _CERTIFY_RTOL = 1e-5
@@ -152,10 +153,11 @@ def _check_params(params) -> None:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """grad_norm_tol is TNT's gradient target before each rank's first
-    (Schur) certificate attempt.  TNT runs on to grad_norm_tol *
-    _REFINE_GRAD_FACTOR (1000x below) only when that attempt does not
-    certify, and always before an eigen-solve."""
+    """grad_norm_tol is the gradient norm below which the staircase tries
+    the Schur certificate (with an anchor block) at each accepted TNT
+    point.  TNT runs on to
+    grad_norm_tol * _REFINE_GRAD_FACTOR (1000x below) only while no such
+    attempt certifies, and always before an eigen-solve."""
 
     grad_norm_tol: float = 1e-2
 
@@ -292,7 +294,7 @@ def _local_model(shape: ManifoldShape, R, M, MR, diag_M):
 
 
 def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
-                 *, check: bool = True):
+                 *, check: bool = True, stop=None):
     """Minimize trace(M R R^T) from initial_point.
 
     Returns (point, objective, grad_norm, iterations).  Accepted steps
@@ -305,8 +307,10 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     shrinks by _TR_DECREASE_FACTOR on rejected steps and grows by
     _TR_INCREASE_FACTOR on very successful boundary steps.  TNT stops at
     params.grad_norm_tol, after _MAX_TNT_ITERATIONS steps, or on an accepted
-    step whose relative decrease is below _REL_DECREASE_TOL.  check=False
-    skips the symmetry check of M (for callers that made it).
+    step whose relative decrease is below _REL_DECREASE_TOL, or when
+    stop(R, f, MR, grad_norm), if given, returns True: it is called on the
+    start point and on every accepted one.  check=False skips the symmetry
+    check of M (for callers that made it).
 
     The model (see _local_model) is built once per iterate and kept across
     rejected steps; its predicted decrease uses the Hs that truncated CG
@@ -328,7 +332,9 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     # no sphere rows: the gradient is 0 and no step is taken
     radius = _INITIAL_TR_RADIUS * math.sqrt(max(shape.n_sphere_rows, 1))
     iterations = 0
-    while iterations < _MAX_TNT_ITERATIONS and gnorm >= params.grad_norm_tol:
+    done = stop is not None and stop(R, f, MR, gnorm)
+    while (not done and iterations < _MAX_TNT_ITERATIONS
+           and gnorm >= params.grad_norm_tol):
         s, Hs, hit_boundary, cg_iters = _steihaug(
             grad, hess, precon, radius, _MAX_CG_ITERATIONS, _CG_ETA)
         predicted = -(_inner(grad, s) + 0.5 * _inner(s, Hs))
@@ -341,20 +347,22 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         rho = (f - f_new) / predicted if predicted > 0.0 else -math.inf
         accepted = rho >= _ACCEPT_RATIO and f_new < f
         if accepted:
-            stop = (f - f_new) / max(1.0, abs(f)) < _REL_DECREASE_TOL
+            done = (f - f_new) / max(1.0, abs(f)) < _REL_DECREASE_TOL
             if rho >= _VERY_SUCCESSFUL_RATIO and hit_boundary:
                 radius *= _TR_INCREASE_FACTOR
             R, f, MR = R_new, f_new, MR_new
             grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
+            if stop is not None and stop(R, f, MR, gnorm):
+                done = True
         else:
             radius *= _TR_DECREASE_FACTOR
-            stop = radius < _MIN_RADIUS
+            done = radius < _MIN_RADIUS
         logger.info(
             "tnt iter=%d accepted=%d f=%.12g grad_norm=%.6g radius=%.6g "
             "rank=%d cg=%d",
             iterations, accepted, f, gnorm, radius, shape.rank, cg_iters,
         )
-        if stop:
+        if done:
             break
     return R, f, gnorm, iterations
 
@@ -475,6 +483,17 @@ def _schur_certificate(shape: ManifoldShape, R, MR, lam, Lam_B, diag_M,
     return None if t < -_SCHUR_ETA * mu else t
 
 
+def _schur_test(shape: ManifoldShape, R, f, MR, diag_M, offdiag):
+    """(t, lower_bound, certified) of _schur_certificate at R, with MR = M @ R
+    and f = trace(M R R^T); t and lower_bound are None when it declines."""
+    lam, Lam_B = _multipliers(shape, R, MR)
+    t = _schur_certificate(shape, R, MR, lam, Lam_B, diag_M, offdiag)
+    if t is None:
+        return None, None, False
+    lower = _dual_bound(lam, Lam_B, t)
+    return t, lower, f - lower <= _CERTIFY_RTOL * max(1.0, abs(f))
+
+
 # relative size of the escape perturbation before backtracking
 _ESCAPE_STEP_FRACTION = 1e-2
 
@@ -499,14 +518,14 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
     The start rank is shape.rank (from a random point), unless warm_start
     is given: then its column count is.  Each rank appends one (rank, TNT
     iterations, gradient norm) entry to rank_history: the iterations of
-    both TNT stages (see the module docstring) and the gradient norm at the
-    rank's final point.  The result carries
+    the rank's TNT run (see the module docstring) and the gradient norm at
+    its final point.  The result carries
     the last rank's point, objective, lower_bound, min_eig and
     certificate; certified means f - lower_bound is within _CERTIFY_RTOL *
     max(1, |f|).  min_eig is the lower bound t on lambda_min(S) that
     lower_bound was built from (see _dual_bound), and certificate names the
-    mechanism that supplied it: "schur" (_schur_certificate, tried first
-    when shape has an anchor block) or "eigsh" (_certificate: a charged
+    mechanism that supplied it: "schur" (_schur_certificate, TNT's stop
+    test when shape has an anchor block) or "eigsh" (_certificate: a charged
     Ritz value, or the Gershgorin bound).  Progress goes to this
     module's logger at INFO, one line per TNT step and per rank.
     """
@@ -526,29 +545,33 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
         offdiag = _sphere_offdiag_sums(M, shape.n_sphere_rows)
         diag_M = M.diagonal()
 
-    # the Schur test is cheap, so it is first tried at the loose point; the
-    # eigen-solve needs the refined one
-    stages = (params, refined) if offdiag is not None else (refined,)
+    # TNT's stop test with an anchor block (see the module docstring);
+    # schur holds the last point tested, at the current rank, and its
+    # _schur_test
+    schur = {}
+
+    def schur_stop(R, f, MR, gnorm):
+        if gnorm >= params.grad_norm_tol:
+            return False
+        schur["R"] = R
+        schur["test"] = _schur_test(shape, R, f, MR, diag_M, offdiag)
+        return schur["test"][2]
 
     result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(_MAX_STAIRCASE_STEPS):
-        iters = 0
-        for stage in stages:
-            R, f, gnorm, n = tnt_minimize(M, shape, R, stage, check=False)
-            iters += n
-            MR = M @ R
-            lam, Lam_B = _multipliers(shape, R, MR)
-            budget = _CERTIFY_RTOL * max(1.0, abs(f))
-            t = lower = None
-            if offdiag is not None:
-                t = _schur_certificate(shape, R, MR, lam, Lam_B, diag_M,
-                                       offdiag)
-            if t is not None:
-                lower = _dual_bound(lam, Lam_B, t)
-            if lower is not None and f - lower <= budget:
-                v, mechanism = None, "schur"
-                break
+        schur.clear()
+        R, f, gnorm, iters = tnt_minimize(
+            M, shape, R, refined, check=False,
+            stop=None if offdiag is None else schur_stop)
+        if offdiag is not None and schur.get("R") is not R:
+            # TNT ended above grad_norm_tol (iteration cap or stalled decrease)
+            schur["test"] = _schur_test(shape, R, f, M @ R, diag_M, offdiag)
+        t, lower, certified = schur.get("test", (None, None, False))
+        budget = _CERTIFY_RTOL * max(1.0, abs(f))
+        if certified:
+            v, mechanism = None, "schur"
         else:
+            lam, Lam_B = _multipliers(shape, R, M @ R)
             (t, v), mechanism = _certificate(M, lam, Lam_B, budget, rng), "eigsh"
             lower = _dual_bound(lam, Lam_B, t)
         result.rank_history.append((shape.rank, iters, gnorm))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import logging
+import math
 import re
 from fractions import Fraction
 
@@ -117,6 +118,37 @@ def test_tnt_accepted_steps_strictly_decrease(rng, caplog):
             accepted.append(float(fields["f"]))
     assert len(accepted) >= 2
     assert all(b < a + 1e-12 for a, b in zip(accepted, accepted[1:]))
+
+
+def test_tnt_stop_sees_the_start_and_every_accepted_point(rng):
+    inst = generate_grid_instance(3, 3, 3, unary_noise=0.3, seed=11)
+    M = encode_zo(inst).Q
+    shape = ManifoldShape(9, 3, 4)
+    R0 = random_point(shape, rng)
+    params = SolverParams(1e-9)
+    R_full, _, _, iters_full = tnt_minimize(M, shape, R0, params)
+    # a stop that never fires leaves the run as it was
+    seen = []
+
+    def never(R, f, MR, gnorm):
+        np.testing.assert_allclose(MR, M @ R, rtol=0, atol=1e-12)
+        seen.append((R, f, gnorm))
+        return False
+
+    R, _, gnorm, iters = tnt_minimize(M, shape, R0, params, stop=never)
+    assert np.array_equal(R, R_full) and iters == iters_full
+    assert np.array_equal(seen[0][0], R0) and R is seen[-1][0]
+    assert gnorm == seen[-1][2]
+    assert all(b[1] < a[1] for a, b in zip(seen, seen[1:]))
+    assert len(seen) >= 4
+    # stopping at the third point seen returns that point
+    stops = []
+    R, f, gnorm, iters = tnt_minimize(
+        M, shape, R0, params,
+        stop=lambda *point: stops.append(point) or len(stops) == 3)
+    assert len(stops) == 3
+    assert R is stops[-1][0] and (f, gnorm) == (stops[-1][1], stops[-1][3])
+    assert np.array_equal(R, seen[2][0]) and iters < iters_full
 
 
 def test_tnt_nonfinite_objective_raises(rng):
@@ -411,8 +443,9 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
 
 
 def _record_stages(monkeypatch, declines=0):
-    """Record ("tnt", grad_norm_tol), "schur" and "eigsh" in call order; the
-    first `declines` Schur tests return None."""
+    """Record ("tnt", grad_norm_tol) per TNT call, ("schur", gradient norm
+    at the tested point) per Schur test and "eigsh" per eigen-solve, in call
+    order; the first `declines` Schur tests return None."""
     events = []
     tnt, schur, certificate = (staircase.tnt_minimize,
                                staircase._schur_certificate,
@@ -422,11 +455,12 @@ def _record_stages(monkeypatch, declines=0):
         events.append(("tnt", params.grad_norm_tol))
         return tnt(M, shape, R, params, **kw)
 
-    def recording_schur(*args):
-        events.append("schur")
-        if events.count("schur") <= declines:
+    def recording_schur(shape, R, MR, *args):
+        grad = project_tangent(shape, R, 2.0 * MR)
+        events.append(("schur", float(np.linalg.norm(grad))))
+        if len(_kinds(events, "schur")) <= declines:
             return None
-        return schur(*args)
+        return schur(shape, R, MR, *args)
 
     def recording_certificate(*args):
         events.append("eigsh")
@@ -438,32 +472,63 @@ def _record_stages(monkeypatch, declines=0):
     return events
 
 
+def _kinds(events, kind=None):
+    """The events' kinds ("tnt", "schur", "eigsh"), or the events of one kind."""
+    kinds = [e[0] if isinstance(e, tuple) else e for e in events]
+    return kinds if kind is None else [e for e, k in zip(events, kinds)
+                                       if k == kind]
+
+
+_FUSES_LARGE_SHAPE = ManifoldShape(1000, 19, 19)
+
+
 def _fuses_large_staircase():
     inst = generate_grid_instance(25, 40, 19, unary_noise=0.3, seed=0)
-    return staircase_solve(encode_zo(inst).Q, ManifoldShape(1000, 19, 19),
+    return staircase_solve(encode_zo(inst).Q, _FUSES_LARGE_SHAPE,
                            SolverParams(), seed_or_rng=0)
 
 
 def test_schur_certified_rank_runs_tnt_once(monkeypatch):
+    # TNT run to grad_norm_tol alone, from the staircase's start
+    inst = generate_grid_instance(25, 40, 19, unary_noise=0.3, seed=0)
+    R0 = random_point(_FUSES_LARGE_SHAPE, np.random.default_rng(0))
+    R_loose, _, gnorm, iters = tnt_minimize(
+        encode_zo(inst).Q, _FUSES_LARGE_SHAPE, R0, SolverParams())
     events = _record_stages(monkeypatch)
     res = _fuses_large_staircase()
     assert res.certified and res.certificate == "schur"
-    assert events == [("tnt", SolverParams().grad_norm_tol), "schur"]
+    # one TNT call toward the refined target, which the Schur test stops at
+    # its first point below grad_norm_tol: the point TNT alone ends on
+    refined = SolverParams().grad_norm_tol * staircase._REFINE_GRAD_FACTOR
+    assert events == [("tnt", refined), ("schur", pytest.approx(gnorm))]
+    assert np.array_equal(res.R_opt, R_loose)
+    assert res.rank_history == [(19, iters, gnorm)]
 
 
-@pytest.mark.parametrize("declines", [1, 2])
-def test_declined_schur_refines_before_the_eigen_solve(declines, monkeypatch):
-    events = _record_stages(monkeypatch, declines)
+def test_declined_schur_takes_one_more_tnt_step(monkeypatch):
+    events = _record_stages(monkeypatch, declines=1)
+    res = _fuses_large_staircase()
+    tol = SolverParams().grad_norm_tol
+    assert _kinds(events) == ["tnt", "schur", "schur"]
+    (_, first), (_, second) = _kinds(events, "schur")
+    assert second < first < tol
+    # one TNT step past the 6 of the undeclined run, with no eigen-solve
+    assert res.certified and res.certificate == "schur"
+    assert res.rank_history[0][1] == 7
+
+
+def test_declined_schur_refines_before_the_eigen_solve(monkeypatch):
+    events = _record_stages(monkeypatch, declines=math.inf)
     res = _fuses_large_staircase()
     tol = SolverParams().grad_norm_tol
     refined = tol * staircase._REFINE_GRAD_FACTOR
-    assert events[:4] == [("tnt", tol), "schur", ("tnt", refined), "schur"]
-    # the refined point certifies by Schur, unless it declines there too
-    assert res.certified
-    if declines == 1:
-        assert len(events) == 4 and res.certificate == "schur"
-    else:
-        assert events[4] == "eigsh" and res.certificate == "eigsh"
+    # Schur at every accepted point below grad_norm_tol, then the
+    # eigen-solve at the refined point
+    schur = _kinds(events, "schur")
+    assert _kinds(events) == ["tnt"] + ["schur"] * len(schur) + ["eigsh"]
+    assert len(schur) >= 2 and all(g < tol for _, g in schur)
+    assert schur[-1][1] < refined
+    assert res.certified and res.certificate == "eigsh"
     assert res.rank_history[0][2] < refined
 
 
