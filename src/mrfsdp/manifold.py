@@ -178,12 +178,24 @@ def retract(shape: ManifoldShape, R, tangent) -> np.ndarray:
 
 # --- trace-quadratic costs ------------------------------------------------
 
+def _sparse_asymmetry(M) -> float:
+    """max |M_ij - M_ji| over the entries stored in M or M^T (0 if none).  A
+    canonical CSR matrix whose transpose stores the same pattern is compared
+    entry by entry; anything else goes through M - M^T."""
+    if M.format == "csr" and M.has_canonical_format:
+        T = M.T.tocsr()
+        if (np.array_equal(M.indptr, T.indptr)
+                and np.array_equal(M.indices, T.indices)):
+            return float(np.max(np.abs(M.data - T.data))) if M.nnz else 0.0
+    D = (M - M.T).tocoo()
+    return float(np.max(np.abs(D.data))) if D.nnz else 0.0
+
+
 def check_symmetric(M, tol: float = 1e-12) -> None:
     """Reject cost matrices that are not numerically symmetric."""
     if sp.issparse(M):
         scale = max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 0.0)
-        D = (M - M.T).tocoo()
-        err = float(np.max(np.abs(D.data))) if D.nnz else 0.0
+        err = _sparse_asymmetry(M)
     else:
         A = np.asarray(M, dtype=float)
         scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)

@@ -63,8 +63,10 @@ SolverParams holds the one setting callers vary, the gradient norm
 tolerance (1e-2; 1e-3 in dars.DARS_SOLVER_PARAMS).  The rest of the
 reference parameterization is fixed below: eigenvalue tolerance 1e-2, 500
 TNT iterations, initial radius 1 (in units of the point's size sqrt(N), the
-c-norm of N unit rows), radius factors 0.25 / 2.5, 2000 CG iterations, eta
-0.9, 10 staircase steps, and TNT ends below a relative decrease of 1e-9.
+c-norm of N unit rows), radius factors 0.25 / 2.5, 2000 CG iterations, a
+CG forcing term min(0.9, ||grad|| / g0) relative to the gradient norm g0 at
+the start of the TNT call (see _steihaug), 10 staircase steps, and TNT ends
+below a relative decrease of 1e-9.
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ from .mrf import _is_size
 
 logger = logging.getLogger(__name__)
 
-# trust-region quality thresholds (standard values; _CG_ETA drives the CG
-# residual test below)
+# trust-region quality thresholds (standard values)
 _ACCEPT_RATIO = 0.1
 _VERY_SUCCESSFUL_RATIO = 0.9
-_CG_THETA = 0.5
+# exponent of CG's relative forcing term, with _CG_ETA its cap (see
+# _steihaug): 1 gives inexact Newton its quadratic local rate
+_CG_THETA = 1.0
 _MIN_RADIUS = 1e-14
 # the reference parameterization's fixed settings (see the module docstring)
 _EIG_TOL = 1e-2
@@ -225,10 +228,19 @@ def _preconditioner(shape: ManifoldShape, diag_M, lam) -> np.ndarray:
     return c[:, None]
 
 
-def _steihaug(grad, hess_vec, precon, radius, max_iters, eta):
+def _steihaug(grad, hess_vec, precon, radius, max_iters, eta, g0):
     """Preconditioned truncated CG (Steihaug-Toint) on the trust-region
     model; stops on negative curvature, the boundary ||s||_c = radius, or
-    eta-based reduction of the residual's Euclidean norm.
+    when the residual's Euclidean norm falls to
+
+        r0 min(eta, (r0 / g0)^_CG_THETA),
+
+    r0 = ||grad|| and g0 the gradient norm at the start of the TNT call.
+    This inexact-Newton forcing term (Eisenstat and Walker, SIAM J. Sci.
+    Comput. 1996) asks for a cut by eta at the start and an ever deeper one
+    as the gradient falls, which gives Riemannian trust regions their
+    superlinear rate (Absil, Baker, Gallivan, FoCM 2007).  r0 and g0 scale
+    together with M, so the stop does not depend on the weight scale.
 
     precon holds one positive scalar per row (broadcast over columns); each
     iteration takes z = r / precon.  <s, c s>, <s, c d> and <d, c d> follow
@@ -247,7 +259,7 @@ def _steihaug(grad, hess_vec, precon, radius, max_iters, eta):
     d = -z
     rz = _inner(r, z)
     r0 = math.sqrt(_inner(r, r))
-    target = r0 * min(eta, r0 ** _CG_THETA)
+    target = r0 * min(eta, (r0 / g0) ** _CG_THETA)
     radius2 = radius * radius
     sCs, sCd, dCd = 0.0, 0.0, rz
     for k in range(max_iters):
@@ -329,6 +341,7 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         raise NumericalFailureError("non-finite objective at start", last_point=R)
     diag_M = M.diagonal()
     grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
+    g0 = gnorm  # CG's forcing term is relative to it (see _steihaug)
     # no sphere rows: the gradient is 0 and no step is taken
     radius = _INITIAL_TR_RADIUS * math.sqrt(max(shape.n_sphere_rows, 1))
     iterations = 0
@@ -336,7 +349,7 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     while (not done and iterations < _MAX_TNT_ITERATIONS
            and gnorm >= params.grad_norm_tol):
         s, Hs, hit_boundary, cg_iters = _steihaug(
-            grad, hess, precon, radius, _MAX_CG_ITERATIONS, _CG_ETA)
+            grad, hess, precon, radius, _MAX_CG_ITERATIONS, _CG_ETA, g0)
         predicted = -(_inner(grad, s) + 0.5 * _inner(s, Hs))
         R_new = retract(shape, R, s)
         MR_new = M @ R_new
@@ -373,8 +386,9 @@ def _sum_down(*terms) -> float:
     ulp of the floats' sum, each term is at most one rounding (a product)
     off its exact value, and 4 eps sum|terms| covers both plus the
     subtraction."""
-    flat = np.concatenate([np.ravel(t) for t in terms]).tolist()
-    return math.fsum(flat) - 4.0 * _EPS * math.fsum(map(abs, flat))
+    flat = np.concatenate([np.ravel(t) for t in terms])
+    return (math.fsum(flat.tolist())
+            - 4.0 * _EPS * math.fsum(np.abs(flat).tolist()))
 
 
 def _dual_bound(lam, Lam_B, t) -> float:

@@ -8,6 +8,7 @@ from mrfsdp import (
     ManifoldShape,
     MrfInstance,
     encode_zo,
+    generate_grid_instance,
     lift_labeling,
     manifold_residual,
     project_tangent,
@@ -18,7 +19,12 @@ from mrfsdp import (
     tangent_residual,
     trace_quadratic,
 )
-from mrfsdp.manifold import _hessian_operator, _multipliers
+from mrfsdp.manifold import (
+    _hessian_operator,
+    _multipliers,
+    _sparse_asymmetry,
+    check_symmetric,
+)
 from mrfsdp.staircase import _PRECON_FLOOR, _certificate, _preconditioner
 
 SHAPES = [ManifoldShape(8, 0, 3), ManifoldShape(6, 3, 4), ManifoldShape(5, 2, 2)]
@@ -173,6 +179,65 @@ def test_asymmetric_matrix_rejected(rng):
         riemannian_gradient(M, shape, R)
     with pytest.raises(InvalidInputError):
         riemannian_hessian_vec(M, shape, R, np.zeros_like(R))
+
+
+def _asymmetry_cases(rng):
+    """(name, sparse matrix) pairs for the symmetry check, by kind."""
+    A = sp.random(30, 30, density=0.2, random_state=rng, format="csr")
+    S = (A + A.T).tocsr()
+    S.sort_indices()
+    cases = [("symmetric", S),
+             ("grid", encode_zo(generate_grid_instance(3, 4, 3, seed=0)).Q),
+             ("empty", sp.csr_matrix((4, 4)))]
+    i, j = [int(x) for x in np.argwhere(np.triu(S.toarray(), 1) != 0)[0]]
+    for delta in (1e-15, 1e-9, 1.0):
+        P = S.copy()
+        P[i, j] += delta
+        cases.append((f"perturbed {delta:g}", P))
+    # one entry whose mirror is not stored
+    i, j = [int(x) for x in np.argwhere(np.triu(S.toarray() == 0, 1))[0]]
+    for value in (1e-14, 2.0):
+        P = S.tolil()
+        P[i, j] = value
+        cases.append((f"one-sided {value:g}", P.tocsr()))
+    cases.append(("triangular", sp.csr_matrix(np.triu(np.ones((3, 3))))))
+    # an explicit zero mirrored by a stored zero, by a nonzero, by nothing
+    for name, mirror in (("zero", [0.0]), ("nonzero", [0.5]), ("absent", [])):
+        vals = [0.0, 1.0, 1.0, 3.0] + mirror
+        rows, cols = [0, 1, 2, 2, 1][:len(vals)], [1, 2, 1, 2, 0][:len(vals)]
+        cases.append((f"explicit zero, {name} mirror",
+                      sp.csr_matrix((vals, (rows, cols)), shape=(3, 3))))
+    # non-canonical CSR: each row's entries reversed, and duplicates
+    order = np.concatenate([np.arange(b - 1, a - 1, -1)
+                            for a, b in zip(S.indptr[:-1], S.indptr[1:])])
+    cases.append(("unsorted", sp.csr_matrix(
+        (S.data[order], S.indices[order], S.indptr.copy()), shape=S.shape)))
+    cases.append(("duplicates", sp.csr_matrix(
+        ([1.0, 1.5, 2.0, 0.5], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2))))
+    cases.append(("duplicates, asymmetric",
+                  sp.csr_matrix(([1.0, 1.5, 2.0, 3.0], [1, 1, 0, 0],
+                                 [0, 2, 4]), shape=(2, 2))))
+    return cases
+
+
+def test_sparse_symmetry_check_matches_subtraction(rng):
+    paths = []
+    for name, M in _asymmetry_cases(rng):
+        T = M.T.tocsr()
+        paths.append(M.has_canonical_format
+                     and np.array_equal(M.indptr, T.indptr)
+                     and np.array_equal(M.indices, T.indices))
+        D = (M - M.T).tocoo()
+        expected = float(np.max(np.abs(D.data))) if D.nnz else 0.0
+        assert _sparse_asymmetry(M) == expected, name
+        scale = max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 0.0)
+        if expected > 1e-12 * scale:
+            with pytest.raises(InvalidInputError, match=f"{expected:.3g}"):
+                check_symmetric(M)
+        else:
+            check_symmetric(M)
+    # the entry-by-entry comparison and the subtraction both ran
+    assert paths.count(True) >= 4 and paths.count(False) >= 4
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -429,7 +429,7 @@ def test_certified_fuses_staircase_makes_no_eigen_solve(rows, cols, k,
     # gradient norm stays above the refined target
     [(rank, iters, gnorm)] = res.rank_history
     assert rank == k
-    assert iters == {(25, 40, 19): 6, (100, 100, 5): 7}[rows, cols, k]
+    assert iters == {(25, 40, 19): 4, (100, 100, 5): 5}[rows, cols, k]
     assert gnorm < SolverParams().grad_norm_tol
     # min_eig is the bound t*, within the budget / m of the eigen-solve's
     # charged bound on R
@@ -512,9 +512,9 @@ def test_declined_schur_takes_one_more_tnt_step(monkeypatch):
     assert _kinds(events) == ["tnt", "schur", "schur"]
     (_, first), (_, second) = _kinds(events, "schur")
     assert second < first < tol
-    # one TNT step past the 6 of the undeclined run, with no eigen-solve
+    # one TNT step past the 4 of the undeclined run, with no eigen-solve
     assert res.certified and res.certificate == "schur"
-    assert res.rank_history[0][1] == 7
+    assert res.rank_history[0][1] == 5
 
 
 def test_declined_schur_refines_before_the_eigen_solve(monkeypatch):
@@ -570,6 +570,21 @@ def test_sum_down_is_at_most_the_exact_sum():
         assert Fraction(staircase._sum_down(terms)) <= exact
         assert Fraction(staircase._sum_down(terms[:1], terms[1:])) <= exact
     assert staircase._sum_down(np.zeros(3), 0.0) == 0.0
+
+
+def test_sum_down_matches_the_listwise_formula():
+    # fsum is correctly rounded in any order, so summing |terms| from numpy
+    # gives the bits of the Python abs over the list
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        terms = [rng.choice([-1.0, 1.0], size=n)
+                 * 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+                 for n in rng.integers(0, 30, size=int(rng.integers(1, 4)))]
+        terms.append(float(rng.standard_normal()))
+        flat = np.concatenate([np.ravel(t) for t in terms]).tolist()
+        listwise = math.fsum(flat) - 4.0 * staircase._EPS * math.fsum(
+            map(abs, flat))
+        assert staircase._sum_down(*terms) == listwise
 
 
 def test_progress_line_names_the_certificate(caplog):
@@ -658,8 +673,10 @@ def test_steihaug_returns_hessian_of_step(exit_kind, scaled):
         applied.append(float(np.sum(d * Hd)))
         return Hd
 
+    # g0 = ||grad||: the first step of a TNT call, so the target is 1e-6 r0
     s, Hs, hit_boundary, iters = staircase._steihaug(
-        grad.reshape(point_shape), hess_vec, c, radius, 2000, 1e-6)
+        grad.reshape(point_shape), hess_vec, c, radius, 2000, 1e-6,
+        np.linalg.norm(grad))
     assert iters == len(applied) >= 2
     assert hit_boundary == (exit_kind != "interior")
     assert (applied[-1] <= 0.0) == (exit_kind == "negative_curvature")
@@ -754,3 +771,36 @@ def test_tnt_one_hessian_product_per_cg_iteration(rng, monkeypatch):
                                   random_point(shape, rng), SolverParams())
     assert iters == len(cg_iterations) >= 2
     assert len(applied) == sum(cg_iterations)
+
+
+@pytest.mark.parametrize("c", [2.0 ** 10, 2.0 ** -4])
+def test_tnt_is_scale_covariant(c, monkeypatch):
+    # weights times a power of two scale f, the gradient and the Hessian
+    # exactly.  With grad_norm_tol scaled alike, every TNT decision (the CG
+    # forcing term, the step ratio, the radius, and the relative-decrease
+    # exit, since |f| ~ 630 stays >= 1 at both scales) is the same, so the
+    # iterates agree bit for bit
+    inst = generate_grid_instance(25, 40, 19, unary_noise=0.3, seed=0)
+    M = encode_zo(inst).Q
+    R0 = random_point(_FUSES_LARGE_SHAPE, np.random.default_rng(0))
+    steihaug = staircase._steihaug
+    cg_iterations = []
+
+    def counting_steihaug(*args):
+        out = steihaug(*args)
+        cg_iterations[-1].append(out[3])
+        return out
+
+    monkeypatch.setattr(staircase, "_steihaug", counting_steihaug)
+    runs = []
+    for scale in (1.0, c):
+        cg_iterations.append([])
+        runs.append(tnt_minimize(scale * M, _FUSES_LARGE_SHAPE, R0,
+                                 SolverParams(1e-5 * scale)))
+    (R, f, gnorm, iters), (R_c, f_c, gnorm_c, iters_c) = runs
+    assert abs(f) >= 1.0 and abs(f_c) >= 1.0
+    assert np.array_equal(R, R_c)
+    assert (f_c, gnorm_c, iters_c) == (c * f, c * gnorm, iters)
+    assert cg_iterations[0] == cg_iterations[1]
+    assert len(cg_iterations[0]) == iters >= 4
+    assert gnorm < 1e-5
