@@ -65,8 +65,9 @@ reference parameterization is fixed below: eigenvalue tolerance 1e-2, 500
 TNT iterations, initial radius 1 (in units of the point's size sqrt(N), the
 c-norm of N unit rows), radius factors 0.25 / 2.5, 2000 CG iterations, a
 CG forcing term min(0.9, ||grad|| / g0) relative to the gradient norm g0 at
-the start of the TNT call (see _steihaug), 10 staircase steps, and TNT ends
-below a relative decrease of 1e-9.
+the start of the TNT call (see _steihaug) and 10 staircase steps.  TNT
+stops on four rules only: its gradient target, the caller's stop test, 500
+iterations, or a trust radius below 1e-14.
 """
 
 from __future__ import annotations
@@ -113,8 +114,6 @@ _TR_INCREASE_FACTOR = 2.5
 _MAX_CG_ITERATIONS = 2000
 _CG_ETA = 0.9
 _MAX_STAIRCASE_STEPS = 10
-# TNT stops on an accepted step that lowers f by < this * max(1, |f|)
-_REL_DECREASE_TOL = 1e-9
 # floor of the CG preconditioner, relative to its largest |entry|: a row
 # whose Hessian diagonal is tiny or negative would otherwise get a huge step
 # or make the preconditioner indefinite
@@ -317,11 +316,11 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     first radius thus grows with the manifold, as Manopt's default (a
     fraction of the typical distance; Boumal et al., JMLR 2014) does.  It
     shrinks by _TR_DECREASE_FACTOR on rejected steps and grows by
-    _TR_INCREASE_FACTOR on very successful boundary steps.  TNT stops at
-    params.grad_norm_tol, after _MAX_TNT_ITERATIONS steps, or on an accepted
-    step whose relative decrease is below _REL_DECREASE_TOL, or when
-    stop(R, f, MR, grad_norm), if given, returns True: it is called on the
-    start point and on every accepted one.  check=False skips the symmetry
+    _TR_INCREASE_FACTOR on very successful boundary steps.  TNT stops on
+    four rules: below params.grad_norm_tol; when stop(R, f, MR, grad_norm),
+    if given, returns True (it is called on the start point and on every
+    accepted one); after _MAX_TNT_ITERATIONS steps; or when a rejected step
+    takes the radius below _MIN_RADIUS.  check=False skips the symmetry
     check of M (for callers that made it).
 
     The model (see _local_model) is built once per iterate and kept across
@@ -360,13 +359,11 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
         rho = (f - f_new) / predicted if predicted > 0.0 else -math.inf
         accepted = rho >= _ACCEPT_RATIO and f_new < f
         if accepted:
-            done = (f - f_new) / max(1.0, abs(f)) < _REL_DECREASE_TOL
             if rho >= _VERY_SUCCESSFUL_RATIO and hit_boundary:
                 radius *= _TR_INCREASE_FACTOR
             R, f, MR = R_new, f_new, MR_new
             grad, gnorm, hess, precon = _local_model(shape, R, M, MR, diag_M)
-            if stop is not None and stop(R, f, MR, gnorm):
-                done = True
+            done = stop is not None and stop(R, f, MR, gnorm)
         else:
             radius *= _TR_DECREASE_FACTOR
             done = radius < _MIN_RADIUS
@@ -578,7 +575,7 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
             M, shape, R, refined, check=False,
             stop=None if offdiag is None else schur_stop)
         if offdiag is not None and schur.get("R") is not R:
-            # TNT ended above grad_norm_tol (iteration cap or stalled decrease)
+            # TNT ended above grad_norm_tol (iteration cap or collapsed radius)
             schur["test"] = _schur_test(shape, R, f, M @ R, diag_M, offdiag)
         t, lower, certified = schur.get("test", (None, None, False))
         budget = _CERTIFY_RTOL * max(1.0, abs(f))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mrfsdp.dars as dars
 import mrfsdp.staircase as staircase
 from mrfsdp import (
     DualParams,
@@ -264,6 +265,27 @@ def test_warm_start_matches_cold_start_objective():
                            warm_start=warm_init.R_opt, seed_or_rng=2)
     assert cold.certified and warm.certified
     assert warm.objective <= cold.objective + 1e-4
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_primal_solves_reach_their_gradient_target(seed, monkeypatch):
+    # every rank of every primal solve, warm-started or not, ends below
+    # TNT's refined gradient target, 1e-3 * DARS_SOLVER_PARAMS.grad_norm_tol
+    solve = dars.staircase_solve
+    rank_histories = []
+
+    def recording_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        rank_histories.append(res.rank_history)
+        return res
+
+    monkeypatch.setattr(dars, "staircase_solve", recording_solve)
+    dars_solve(generate_grid_instance(3, 3, 2, unary_noise=0.3, seed=seed),
+               seed=seed)
+    grad_norms = [gnorm for history in rank_histories
+                  for _, _, gnorm in history]
+    assert len(rank_histories) >= 2
+    assert max(grad_norms) < 1e-6
 
 
 def test_l_lambda_adds_symmetrized_constraints():

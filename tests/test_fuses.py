@@ -28,8 +28,8 @@ def test_unary_only_recovers_measured_labels():
     assert res.certified
     assert np.array_equal(res.labeling, [lab for _, lab, _ in unary])
     assert res.f_rounded == 0.0
-    # the relaxation is tight here (optimum 0); the solver lands within its
-    # relative-decrease tolerance of it
+    # the relaxation is tight here (optimum 0); the solver lands near it at
+    # its refined gradient target, within the certification budget 1e-5
     assert abs(res.f_relaxed) <= 1e-5
 
 
@@ -49,7 +49,8 @@ def test_certified_bounds_against_brute_force():
         res = fuses_solve(inst, seed=seed)
         assert res.certified
         exact = brute_force(inst)
-        # lower bound up to the solver's relative-decrease tolerance
+        # lower bound up to the certification budget 1e-5 max(1, |f|), the
+        # gap a certified point may leave above the relaxation optimum
         assert res.f_relaxed <= exact.f_opt + 1e-5 * (1.0 + abs(exact.f_opt))
         assert res.f_rounded >= exact.f_opt - 1e-12
         assert res.f_rounded - exact.f_opt <= res.subopt_bound + 1e-9
