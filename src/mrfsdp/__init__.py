@@ -21,23 +21,16 @@ from .dars import (
     dars_solve,
     dual_gradient,
 )
-from .encode_pm import (
-    PmEncoding,
-    encode_pm,
-    labeling_to_pm,
-    pm_to_labeling,
-)
+from .encode_pm import PmEncoding, encode_pm, labeling_to_pm
 from .encode_zo import (
     ZoEncoding,
     encode_zo,
     labeling_to_zo,
     lift_labeling,
     zo_objective,
-    zo_to_labeling,
 )
 from .errors import (
     DegenerateStepError,
-    InfeasibleAssignmentError,
     InvalidInputError,
     NumericalFailureError,
     SizeRefusalError,
@@ -45,13 +38,9 @@ from .errors import (
 from .fuses import fuses_round, fuses_solve
 from .manifold import (
     ManifoldShape,
-    manifold_residual,
     project_tangent,
     random_point,
     retract,
-    riemannian_gradient,
-    riemannian_hessian_vec,
-    tangent_residual,
     trace_quadratic,
 )
 from .metrics import MetricsReport, compute_metrics, mann_kendall_positive_p

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InfeasibleAssignmentError, InvalidInputError
 from .mrf import MrfInstance, _check_labeling
 
 
@@ -73,20 +72,3 @@ def labeling_to_pm(labeling, num_nodes: int, num_labels: int) -> np.ndarray:
     y[np.arange(num_nodes) * num_labels + x] = 1.0
     y[-1] = 1.0
     return y
-
-
-def pm_to_labeling(y, num_nodes: int, num_labels: int) -> np.ndarray:
-    """Inverse of labeling_to_pm; rejects blocks without exactly one +1."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (num_nodes * num_labels + 1,):
-        raise InvalidInputError("sign vector length mismatch")
-    if np.max(np.abs(np.abs(y) - 1.0)) > 1e-9:
-        raise InfeasibleAssignmentError("entries must be +/-1")
-    blocks = y[:-1].reshape(num_nodes, num_labels)
-    pos_counts = (blocks > 0).sum(axis=1)
-    if np.any(pos_counts != 1):
-        raise InfeasibleAssignmentError(
-            "each node block must have exactly one +1 entry"
-        )
-    return blocks.argmax(axis=1)
-

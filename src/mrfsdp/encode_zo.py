@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InfeasibleAssignmentError, InvalidInputError
+from .errors import InvalidInputError
 from .mrf import MrfInstance, _check_labeling
 
 
@@ -58,17 +58,6 @@ def labeling_to_zo(labeling, num_nodes: int, num_labels: int) -> np.ndarray:
     X = np.zeros((num_nodes, num_labels))
     X[np.arange(num_nodes), x] = 1.0
     return X
-
-
-def zo_to_labeling(X) -> np.ndarray:
-    """Per-row argmax of a valid one-hot matrix; rejects non-one-hot rows."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise InvalidInputError("assignment matrix must be 2-D")
-    is01 = np.all((np.abs(X) < 1e-9) | (np.abs(X - 1.0) < 1e-9))
-    if not is01 or np.any(np.abs(X.sum(axis=1) - 1.0) > 1e-9):
-        raise InfeasibleAssignmentError("rows must be one-hot")
-    return X.argmax(axis=1)
 
 
 def zo_objective(enc: ZoEncoding, V) -> float:

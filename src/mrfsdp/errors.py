@@ -6,12 +6,9 @@ failure -> 3, size refusal -> 4.
 
 
 class InvalidInputError(ValueError):
-    """Malformed instance, labeling, matrix, or configuration."""
-
-
-class InfeasibleAssignmentError(InvalidInputError):
-    """A vector/matrix that should encode a labeling does not (e.g. a
-    sign-vector block without exactly one +1, or a non-one-hot row)."""
+    """Malformed instance, labeling (booleans included), cost matrix (not
+    square, not symmetric, or not the size of its manifold), or
+    configuration."""
 
 
 class NumericalFailureError(RuntimeError):

@@ -108,33 +108,6 @@ def random_point(shape: ManifoldShape, seed_or_rng=0) -> np.ndarray:
     return R
 
 
-def manifold_residual(shape: ManifoldShape, R) -> float:
-    """Max violation of the defining constraints (0 on the manifold)."""
-    R = _check_point(shape, R)
-    ns = shape.n_sphere_rows
-    res = 0.0
-    if ns:
-        res = float(np.max(np.abs(np.einsum("ij,ij->i", R[:ns], R[:ns]) - 1.0)))
-    if shape.bottom_block_rows:
-        B = R[ns:]
-        res = max(res, float(np.max(np.abs(B @ B.T - np.eye(B.shape[0])))))
-    return res
-
-
-def tangent_residual(shape: ManifoldShape, R, V) -> float:
-    """Max violation of the tangency conditions at R (block rows of V are
-    zero)."""
-    R = _check_point(shape, R)
-    V = _check_point(shape, V)
-    ns = shape.n_sphere_rows
-    res = 0.0
-    if ns:
-        res = float(np.max(np.abs(np.einsum("ij,ij->i", V[:ns], R[:ns]))))
-    if shape.bottom_block_rows:
-        res = max(res, float(np.max(np.abs(V[ns:]))))
-    return res
-
-
 def _project_inplace(shape: ManifoldShape, R: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Overwrite V (a float array shaped like R) with its tangent projection."""
     ns = shape.n_sphere_rows
@@ -192,7 +165,11 @@ def _sparse_asymmetry(M) -> float:
 
 
 def check_symmetric(M, tol: float = 1e-12) -> None:
-    """Reject cost matrices that are not numerically symmetric."""
+    """Reject cost matrices that are not square or not numerically
+    symmetric."""
+    shape = np.shape(M)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidInputError(f"cost matrix has shape {shape}, not square")
     if sp.issparse(M):
         scale = max(1.0, float(np.max(np.abs(M.data))) if M.nnz else 0.0)
         err = _sparse_asymmetry(M)
@@ -207,13 +184,6 @@ def check_symmetric(M, tol: float = 1e-12) -> None:
 def trace_quadratic(M, R) -> float:
     """f(R) = trace(M R R^T)."""
     return float(np.sum(np.asarray(R) * (M @ R)))
-
-
-def riemannian_gradient(M, shape: ManifoldShape, R) -> np.ndarray:
-    """Tangent projection of the ambient gradient 2 M R."""
-    check_symmetric(M)
-    R = _check_point(shape, R)
-    return project_tangent(shape, R, 2.0 * (M @ R))
 
 
 def _multipliers(shape: ManifoldShape, R, MR):
@@ -248,11 +218,3 @@ def _hessian_operator(shape: ManifoldShape, R, M, lam):
         return _project_inplace(shape, R, W)
 
     return apply
-
-
-def riemannian_hessian_vec(M, shape: ManifoldShape, R, tangent) -> np.ndarray:
-    """Riemannian Hessian of trace(M R R^T) applied to a tangent vector."""
-    check_symmetric(M)
-    R = _check_point(shape, R)
-    V = _check_point(shape, tangent)
-    return _hessian_operator(shape, R, M, _multipliers(shape, R, M @ R)[0])(V)

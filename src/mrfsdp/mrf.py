@@ -129,6 +129,8 @@ def _check_labeling(labeling, num_nodes: int, num_labels: int) -> np.ndarray:
         raise InvalidInputError(
             f"labeling has length {x.shape}, expected ({num_nodes},)"
         )
+    if x.dtype == bool:
+        raise InvalidInputError("labeling entries must be integers, not bools")
     if not np.issubdtype(x.dtype, np.integer):
         xr = np.rint(np.asarray(labeling, dtype=float)).astype(int)
         if not np.array_equal(xr, np.asarray(labeling, dtype=float)):

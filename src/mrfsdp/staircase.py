@@ -23,9 +23,10 @@ dual (Lagrange-multiplier) bound, as in SE-Sync (Rosen et al., arXiv
   it declines TNT takes one more step.  The eigen-solve runs only at the
   refined point, where the Schur test has declined (or without a block);
 * the multipliers (manifold._multipliers, computed at each point tested
-  from one product M R) are lambda_i = (M R)_i . R_i on unit rows and
-  Lambda_B = sym((M R)_B R_B^T) on the fixed anchor block B0, and the
-  certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
+  from TNT's own product M R, the one its objective was evaluated with;
+  the staircase computes no M R) are lambda_i = (M R)_i . R_i on unit
+  rows and Lambda_B = sym((M R)_B R_B^T) on the fixed anchor block B0, and
+  the certificate matrix is S = M - blkdiag(Diag lambda, Lambda_B);
 * every feasible Y of the SDP (unit diagonal, Y_BB = I, Y psd) has trace
   m, the number of rows, so trace(M Y) = sum(lambda) + tr(Lambda_B) +
   trace(S Y) is at least
@@ -319,9 +320,10 @@ def tnt_minimize(M, shape: ManifoldShape, initial_point, params: SolverParams,
     _TR_INCREASE_FACTOR on very successful boundary steps.  TNT stops on
     four rules: below params.grad_norm_tol; when stop(R, f, MR, grad_norm),
     if given, returns True (it is called on the start point and on every
-    accepted one); after _MAX_TNT_ITERATIONS steps; or when a rejected step
-    takes the radius below _MIN_RADIUS.  check=False skips the symmetry
-    check of M (for callers that made it).
+    accepted one, so the point returned is the last one passed to stop);
+    after _MAX_TNT_ITERATIONS steps; or when a rejected step takes the
+    radius below _MIN_RADIUS.  check=False skips the symmetry check of M
+    (for callers that made it).
 
     The model (see _local_model) is built once per iterate and kept across
     rejected steps; its predicted decrease uses the Hs that truncated CG
@@ -495,14 +497,14 @@ def _schur_certificate(shape: ManifoldShape, R, MR, lam, Lam_B, diag_M,
 
 
 def _schur_test(shape: ManifoldShape, R, f, MR, diag_M, offdiag):
-    """(t, lower_bound, certified) of _schur_certificate at R, with MR = M @ R
-    and f = trace(M R R^T); t and lower_bound are None when it declines."""
+    """(t, lower_bound) of _schur_certificate at R when lower_bound is within
+    the certification budget, else None; MR = M @ R and f = trace(M R R^T)."""
     lam, Lam_B = _multipliers(shape, R, MR)
     t = _schur_certificate(shape, R, MR, lam, Lam_B, diag_M, offdiag)
     if t is None:
-        return None, None, False
+        return None
     lower = _dual_bound(lam, Lam_B, t)
-    return t, lower, f - lower <= _CERTIFY_RTOL * max(1.0, abs(f))
+    return (t, lower) if f - lower <= _CERTIFY_RTOL * max(1.0, abs(f)) else None
 
 
 # relative size of the escape perturbation before backtracking
@@ -541,6 +543,9 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
     module's logger at INFO, one line per TNT step and per rank.
     """
     check_symmetric(M)
+    if M.shape[0] != shape.total_rows:
+        raise InvalidInputError(
+            f"cost matrix has {M.shape[0]} rows, shape has {shape.total_rows}")
     rng = _as_rng(seed_or_rng)
     if warm_start is not None:
         R = np.array(warm_start, dtype=float, copy=True)
@@ -550,39 +555,36 @@ def staircase_solve(M, shape: ManifoldShape, params: SolverParams,
     else:
         R = random_point(shape, rng)
     refined = SolverParams(params.grad_norm_tol * _REFINE_GRAD_FACTOR)
-
-    offdiag = None
-    if shape.bottom_block_rows:
+    block = shape.bottom_block_rows > 0
+    if block:
         offdiag = _sphere_offdiag_sums(M, shape.n_sphere_rows)
         diag_M = M.diagonal()
 
-    # TNT's stop test with an anchor block (see the module docstring);
-    # schur holds the last point tested, at the current rank, and its
-    # _schur_test
-    schur = {}
+    # TNT's stop test (see the module docstring).  TNT's last call is on the
+    # point it returns, so `end` holds that point's M R and, with an anchor
+    # block below grad_norm_tol, its _schur_test
+    end = {}
 
-    def schur_stop(R, f, MR, gnorm):
-        if gnorm >= params.grad_norm_tol:
-            return False
-        schur["R"] = R
-        schur["test"] = _schur_test(shape, R, f, MR, diag_M, offdiag)
-        return schur["test"][2]
+    def stop(R, f, MR, gnorm):
+        end["MR"] = MR
+        end["schur"] = None
+        if block and gnorm < params.grad_norm_tol:
+            end["schur"] = _schur_test(shape, R, f, MR, diag_M, offdiag)
+        return end["schur"] is not None
 
     result = StaircaseResult(R_opt=R, objective=math.nan)
     for step in range(_MAX_STAIRCASE_STEPS):
-        schur.clear()
-        R, f, gnorm, iters = tnt_minimize(
-            M, shape, R, refined, check=False,
-            stop=None if offdiag is None else schur_stop)
-        if offdiag is not None and schur.get("R") is not R:
+        R, f, gnorm, iters = tnt_minimize(M, shape, R, refined, check=False,
+                                          stop=stop)
+        MR = end["MR"]
+        if block and gnorm >= params.grad_norm_tol:
             # TNT ended above grad_norm_tol (iteration cap or collapsed radius)
-            schur["test"] = _schur_test(shape, R, f, M @ R, diag_M, offdiag)
-        t, lower, certified = schur.get("test", (None, None, False))
+            end["schur"] = _schur_test(shape, R, f, MR, diag_M, offdiag)
         budget = _CERTIFY_RTOL * max(1.0, abs(f))
-        if certified:
-            v, mechanism = None, "schur"
+        if end["schur"] is not None:
+            (t, lower), v, mechanism = end["schur"], None, "schur"
         else:
-            lam, Lam_B = _multipliers(shape, R, M @ R)
+            lam, Lam_B = _multipliers(shape, R, MR)
             (t, v), mechanism = _certificate(M, lam, Lam_B, budget, rng), "eigsh"
             lower = _dual_bound(lam, Lam_B, t)
         result.rank_history.append((shape.rank, iters, gnorm))

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from mrfsdp import MrfInstance
+from mrfsdp import ManifoldShape, MrfInstance, project_tangent
+from mrfsdp.manifold import (
+    _check_point,
+    _hessian_operator,
+    _multipliers,
+    check_symmetric,
+)
 
 
 def make_instance(num_nodes, num_labels, unary=(), binary=()):
@@ -61,3 +67,47 @@ def all_labelings(n, k):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# references that tests check the solver's manifold operations against
+# (project_tangent, retract, _hessian_operator)
+def manifold_residual(shape: ManifoldShape, R) -> float:
+    """Max violation of the defining constraints (0 on the manifold)."""
+    R = _check_point(shape, R)
+    ns = shape.n_sphere_rows
+    res = 0.0
+    if ns:
+        res = float(np.max(np.abs(np.einsum("ij,ij->i", R[:ns], R[:ns]) - 1.0)))
+    if shape.bottom_block_rows:
+        B = R[ns:]
+        res = max(res, float(np.max(np.abs(B @ B.T - np.eye(B.shape[0])))))
+    return res
+
+
+def tangent_residual(shape: ManifoldShape, R, V) -> float:
+    """Max violation of the tangency conditions at R (block rows of V are
+    zero)."""
+    R = _check_point(shape, R)
+    V = _check_point(shape, V)
+    ns = shape.n_sphere_rows
+    res = 0.0
+    if ns:
+        res = float(np.max(np.abs(np.einsum("ij,ij->i", V[:ns], R[:ns]))))
+    if shape.bottom_block_rows:
+        res = max(res, float(np.max(np.abs(V[ns:]))))
+    return res
+
+
+def riemannian_gradient(M, shape: ManifoldShape, R) -> np.ndarray:
+    """Tangent projection of the ambient gradient 2 M R."""
+    check_symmetric(M)
+    R = _check_point(shape, R)
+    return project_tangent(shape, R, 2.0 * (M @ R))
+
+
+def riemannian_hessian_vec(M, shape: ManifoldShape, R, tangent) -> np.ndarray:
+    """Riemannian Hessian of trace(M R R^T) applied to a tangent vector."""
+    check_symmetric(M)
+    R = _check_point(shape, R)
+    V = _check_point(shape, tangent)
+    return _hessian_operator(shape, R, M, _multipliers(shape, R, M @ R)[0])(V)

@@ -32,12 +32,9 @@ from mrfsdp import (
     labeling_to_pm,
     lift_labeling,
     mann_kendall_positive_p,
-    manifold_residual,
     project_tangent,
     random_point,
     retract,
-    riemannian_gradient,
-    riemannian_hessian_vec,
     trace_quadratic,
     unary_argmax_labeling,
     zo_objective,
@@ -45,7 +42,13 @@ from mrfsdp import (
 from mrfsdp.cli import main as cli_main
 from mrfsdp.formats import load_result, strip_timing
 
-from conftest import all_labelings, random_instance
+from conftest import (
+    all_labelings,
+    manifold_residual,
+    random_instance,
+    riemannian_gradient,
+    riemannian_hessian_vec,
+)
 
 # (rows, cols, K) composition of the 50-instance small-grid suite; instance
 # seed is the index in this list

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfsdp import (
-    InfeasibleAssignmentError,
     InvalidInputError,
     MrfInstance,
     dual_gradient,
     encode_pm,
     energy,
     labeling_to_pm,
-    pm_to_labeling,
 )
 
 from conftest import all_labelings, make_instance, random_instance
@@ -78,22 +76,15 @@ def test_block_sums_equal_rhs(rng):
 
 
 def test_round_trip_identity(rng):
+    # block i is +1 at label x_i and -1 elsewhere, and the homogenizing entry
+    # is +1
     for _ in range(100):
         n = int(rng.integers(1, 6))
         k = int(rng.integers(2, 5))
         x = rng.integers(0, k, size=n)
-        assert np.array_equal(pm_to_labeling(labeling_to_pm(x, n, k), n, k), x)
-
-
-def test_pm_to_labeling_infeasible():
-    with pytest.raises(InfeasibleAssignmentError):
-        pm_to_labeling(np.array([1.0, 1.0, 1.0]), 1, 2)  # two +1 in block
-    with pytest.raises(InfeasibleAssignmentError):
-        pm_to_labeling(np.array([-1.0, -1.0, 1.0]), 1, 2)  # no +1 in block
-    with pytest.raises(InfeasibleAssignmentError):
-        pm_to_labeling(np.array([0.5, -1.0, 1.0]), 1, 2)  # not a sign vector
-    with pytest.raises(InvalidInputError):
-        pm_to_labeling(np.array([1.0, -1.0]), 1, 2)  # wrong length
+        y = labeling_to_pm(x, n, k)
+        assert np.array_equal(y[:-1].reshape(n, k), 2.0 * np.eye(k)[x] - 1.0)
+        assert y[-1] == 1.0
 
 
 def test_constraint_value_feasible_vector(rng):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfsdp import (
-    InfeasibleAssignmentError,
     InvalidInputError,
     MrfInstance,
     encode_zo,
@@ -12,7 +11,6 @@ from mrfsdp import (
     labeling_to_zo,
     lift_labeling,
     zo_objective,
-    zo_to_labeling,
 )
 
 from conftest import all_labelings, make_instance, random_instance
@@ -86,19 +84,11 @@ def test_one_hot_rows(rng):
 
 
 def test_round_trip_identity(rng):
+    # row i is the one-hot row of label x_i
     for _ in range(100):
         n, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
         x = rng.integers(0, k, size=n)
-        assert np.array_equal(zo_to_labeling(labeling_to_zo(x, n, k)), x)
-
-
-def test_zo_to_labeling_rejects_non_one_hot():
-    with pytest.raises(InfeasibleAssignmentError):
-        zo_to_labeling(np.array([[1.0, 1.0]]))
-    with pytest.raises(InfeasibleAssignmentError):
-        zo_to_labeling(np.array([[0.0, 0.0]]))
-    with pytest.raises(InfeasibleAssignmentError):
-        zo_to_labeling(np.array([[0.5, 0.5]]))
+        assert np.array_equal(labeling_to_zo(x, n, k), np.eye(k)[x])
 
 
 def test_zo_objective_lifted_empty():

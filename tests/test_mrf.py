@@ -21,6 +21,8 @@ from mrfsdp import (
     energy_batch,
     generate_grid_instance,
     grid_edges,
+    icm,
+    labeling_to_pm,
     unary_argmax_labeling,
 )
 from mrfsdp.formats import dumps_instance
@@ -226,6 +228,16 @@ def test_labeling_validation_errors():
         energy(mrf, [0, 2])
     with pytest.raises(InvalidInputError):
         energy(mrf, [0, -1])
+
+
+@pytest.mark.parametrize("x", [np.array([True, False]), [True, False]])
+def test_boolean_labeling_rejected(x):
+    # as for every count, True is not the label 1
+    mrf = generate_grid_instance(1, 2, 2)
+    for call in (lambda: energy(mrf, x), lambda: icm(mrf, x),
+                 lambda: labeling_to_pm(x, 2, 2)):
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 def test_grid_1x1_degenerate():

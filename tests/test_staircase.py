@@ -30,7 +30,7 @@ from mrfsdp import (
     tnt_minimize,
     trace_quadratic,
 )
-from mrfsdp.manifold import _hessian_operator, _multipliers
+from mrfsdp.manifold import _hessian_operator, _multipliers, check_symmetric
 
 from conftest import make_instance
 
@@ -541,6 +541,57 @@ def test_no_block_staircase_runs_only_refined_tnt(monkeypatch):
     assert tnt_calls and set(tnt_calls) == {("tnt", refined)}
     # each rank's refined point goes straight to the eigen-solve
     assert events[::2] == tnt_calls and set(events[1::2]) == {"eigsh"}
+
+
+@pytest.mark.parametrize("method", ["dars", "fuses"])
+def test_certificate_reads_tnt_end_point_product(method, monkeypatch):
+    # the multipliers behind each eigen-solve come from the M R that TNT's
+    # stop last received, the product at the point TNT returned
+    tnt, multipliers, certificate = (staircase.tnt_minimize,
+                                     staircase._multipliers,
+                                     staircase._certificate)
+    last = {}
+    feeds = []
+
+    def recording_tnt(M, shape, R, params, *, stop=None, **kw):
+        def recording_stop(R, f, MR, gnorm):
+            last["stop"] = MR
+            return stop is not None and stop(R, f, MR, gnorm)
+
+        return tnt(M, shape, R, params, stop=recording_stop, **kw)
+
+    def recording_multipliers(shape, R, MR):
+        last["multipliers"] = MR
+        return multipliers(shape, R, MR)
+
+    def recording_certificate(*args):
+        feeds.append((last["multipliers"], last["stop"]))
+        return certificate(*args)
+
+    monkeypatch.setattr(staircase, "tnt_minimize", recording_tnt)
+    monkeypatch.setattr(staircase, "_multipliers", recording_multipliers)
+    monkeypatch.setattr(staircase, "_certificate", recording_certificate)
+    if method == "dars":
+        dars_solve(generate_grid_instance(3, 3, 2, unary_noise=0.3, seed=3),
+                   seed=3)
+    else:
+        _decline_schur(monkeypatch)
+        fuses_solve(generate_grid_instance(3, 3, 3, unary_noise=0.3, seed=2))
+    assert feeds and all(fed is end for fed, end in feeds)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_symmetric(np.ones((2, 3))),
+    lambda: check_symmetric(sp.csr_matrix(np.ones((2, 3)))),
+    lambda: check_symmetric(np.ones(3)),
+    lambda: staircase_solve(np.eye(3), ManifoldShape(2, 0, 1),
+                            SolverParams()),
+    lambda: staircase_solve(sp.identity(3, format="csr"),
+                            ManifoldShape(2, 2, 2), SolverParams()),
+], ids=["dense", "sparse", "vector", "solve dense", "solve sparse"])
+def test_cost_matrix_of_the_wrong_shape_is_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_sphere_offdiag_sums_match_dense_row_sums():
