@@ -45,11 +45,8 @@ from .manifold import (
 )
 from .metrics import MetricsReport, compute_metrics, mann_kendall_positive_p
 from .mrf import (
-    ConstantWeights,
     KernelWeights,
     MrfInstance,
-    UniformWeights,
-    binary_weight_from_features,
     energy,
     energy_batch,
     generate_grid_instance,

@@ -30,17 +30,18 @@ from .errors import (
 from .fuses import fuses_solve
 from .metrics import compute_metrics
 from .mrf import (
-    ConstantWeights,
     KernelWeights,
     MrfInstance,
-    UniformWeights,
     _check_count,
     generate_grid_instance,
     unary_argmax_labeling,
 )
 from .staircase import SolveResult, SolverParams
 
-METHODS = ("fuses", "dars", "icm", "exact")
+# the config keys each method reads besides "method" and "seed"
+_CONFIG_KEYS = {"fuses": ("solver", "init"), "dars": ("solver", "dual"),
+                "icm": (), "exact": ("budget",)}
+METHODS = tuple(_CONFIG_KEYS)
 
 
 # help text of the solver flags that carry one; "{fuses}"/"{dars}" stand
@@ -93,8 +94,6 @@ def _build_config(method: str, args, seed: int) -> dict:
     if method == "dars":
         config["solver"] = asdict(_params_from_args(DARS_SOLVER_PARAMS, args))
         config["dual"] = asdict(_params_from_args(DualParams(), args, "dual_"))
-    if method == "icm":
-        config["icm"] = {"init": args.icm_init, "max_sweeps": args.icm_max_sweeps}
     if method == "exact":
         config["budget"] = args.budget
     return config
@@ -121,6 +120,7 @@ def _solve_payload(res: SolveResult) -> dict:
     if res.dual_iterations is not None:
         dual = {
             "iterations": res.dual_iterations,
+            "bound_iteration": res.dual_bound_iteration,
             "constraint_residual_max": res.constraint_residual_max,
             "residual_history": [float(v) for v in res.residual_history],
             "dual_value_history": [float(v) for v in res.dual_value_history],
@@ -135,26 +135,22 @@ def _solve_payload(res: SolveResult) -> dict:
     }
 
 
-def _config_block(config: dict, block: str, names) -> dict:
-    """config[block]; one that is not an object or that has a key not in
-    names is an InvalidInputError naming the block (and the key)."""
+def _config_params(config: dict, block: str, cls):
+    """cls built from config[block].  A block that is missing or not an
+    object, or that has a key not a field of cls, is an InvalidInputError
+    naming the block (and the key); the values are checked by cls."""
+    if block not in config:
+        raise InvalidInputError(f"config has no {block!r} block")
     values = config[block]
     if not isinstance(values, dict):
         raise InvalidInputError(
             f"config block {block!r} must be an object, got {values!r}")
+    names = {f.name for f in fields(cls)}
     for key in values:
         if key not in names:
             raise InvalidInputError(
                 f"config block {block!r} has unknown key {key!r}")
-    return values
-
-
-def _config_params(config: dict, block: str, cls):
-    """cls built from config[block], which must be there (see _config_block).
-    The values are checked by cls."""
-    if block not in config:
-        raise InvalidInputError(f"config has no {block!r} block")
-    return cls(**_config_block(config, block, {f.name for f in fields(cls)}))
+    return cls(**values)
 
 
 def run_from_config(mrf: MrfInstance, config: dict) -> dict:
@@ -162,11 +158,21 @@ def run_from_config(mrf: MrfInstance, config: dict) -> dict:
 
     Returns the payload (labeling, objectives, flags, staircase, dual,
     timing) shared by the solve and bench commands.  Rerunning the emitted
-    config reproduces the run.  A malformed config is an InvalidInputError.
+    config reproduces the run.  A malformed config is an InvalidInputError,
+    and so is a key the method does not read, such as the icm block an
+    older version wrote.
     """
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"config must be an object, got {config!r}")
     if "method" not in config:
         raise InvalidInputError("config has no 'method' key")
     method = config["method"]
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}")
+    for key in config:
+        if key not in ("method", "seed") + _CONFIG_KEYS[method]:
+            raise InvalidInputError(
+                f"config key {key!r} is not read by method {method!r}")
     seed = _check_count(config.get("seed", 0), "config key 'seed'", 0)
     if method == "fuses":
         return _solve_payload(fuses_solve(
@@ -186,30 +192,15 @@ def run_from_config(mrf: MrfInstance, config: dict) -> dict:
         "timing": {},
     }
     if method == "icm":
-        icm_cfg = (_config_block(config, "icm", ("init", "max_sweeps"))
-                   if "icm" in config else {})
-        init_mode = icm_cfg.get("init", "unary")
-        if init_mode == "unary":
-            init = unary_argmax_labeling(mrf)
-        elif init_mode == "zeros":
-            init = np.zeros(mrf.num_nodes, dtype=int)
-        else:
-            raise InvalidInputError(
-                f"config block 'icm' key 'init' must be 'unary' or 'zeros', "
-                f"got {init_mode!r}")
-        max_sweeps = _check_count(icm_cfg.get("max_sweeps", 100),
-                                  "config block 'icm' key 'max_sweeps'", 0)
-        labeling, f = icm(mrf, init, max_sweeps=max_sweeps)
+        labeling, f = icm(mrf, unary_argmax_labeling(mrf))
         payload["labeling"] = [int(v) for v in labeling]
         payload["objectives"]["f_rounded"] = f
-    elif method == "exact":
+    else:  # "exact"
         res = brute_force(mrf, budget=_check_count(
             config.get("budget", DEFAULT_BUDGET), "config key 'budget'", 1))
         payload["labeling"] = [int(v) for v in res.labeling]
         payload["objectives"]["f_rounded"] = res.f_opt
         payload["states_enumerated"] = res.states_enumerated
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
     elapsed = time.perf_counter() - t0
     payload["timing"] = {"solve_s": elapsed, "total_s": elapsed}
     return payload
@@ -244,13 +235,8 @@ def _write_output(text: str, out: str | None) -> None:
 # --- subcommands ----------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.edge_model == "kernel":
-        model = KernelWeights(lam1=args.lam1, lam2=args.lam2, beta=args.beta,
-                              feature_noise=args.feature_noise)
-    elif args.edge_model == "constant":
-        model = ConstantWeights(value=args.edge_const)
-    else:  # "uniform"
-        model = UniformWeights(low=args.edge_lo, high=args.edge_hi)
+    model = KernelWeights(lam1=args.lam1, lam2=args.lam2, beta=args.beta,
+                          feature_noise=args.feature_noise)
     inst, truth = generate_grid_instance(
         rows=args.rows, cols=args.cols, num_labels=args.labels,
         unary_noise=args.noise,
@@ -499,15 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--unary-lo", type=float, default=0.2)
     p_gen.add_argument("--unary-hi", type=float, default=1.0)
-    p_gen.add_argument("--edge-model", choices=("kernel", "constant", "uniform"),
-                       default="kernel")
     p_gen.add_argument("--lam1", type=float, default=0.02)
     p_gen.add_argument("--lam2", type=float, default=0.04)
     p_gen.add_argument("--beta", type=float, default=None)
     p_gen.add_argument("--feature-noise", type=float, default=0.3)
-    p_gen.add_argument("--edge-const", type=float, default=0.1)
-    p_gen.add_argument("--edge-lo", type=float, default=0.05)
-    p_gen.add_argument("--edge-hi", type=float, default=0.2)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--truth-out", default=None)
     p_gen.set_defaults(func=_cmd_gen)
@@ -519,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--init", choices=("random", "unary"), default="random",
                          help="fuses initialization mode")
-    p_solve.add_argument("--icm-init", choices=("unary", "zeros"), default="unary")
-    p_solve.add_argument("--icm-max-sweeps", type=int, default=100)
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="exact-method state budget")
     _add_solver_flags(p_solve)
@@ -547,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compute exact gaps even without the exact method")
     p_bench.add_argument("--out", default=None)
     _add_solver_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench, icm_init="unary", icm_max_sweeps=100)
+    p_bench.set_defaults(func=_cmd_bench)
 
     p_exp = sub.add_parser("export-matrix",
                            help="dump an encoding in coordinate triplet form")

@@ -8,12 +8,14 @@ trace(U_i Y) = 2 - K with multipliers lambda.  Each iteration:
            L_lambda = L + sum_i lambda_i * sym(U_i)  (symmetrized so the
            manifold cost stays symmetric; trace against symmetric Y is
            unchanged), warm-started from the previous factor;
-  dual:    lambda_i += step * (trace(U_i R R^T) - (2 - K)).
+  dual:    lambda_i += _DUAL_STEP_SIZE * (trace(U_i R R^T) - (2 - K)).
 
 The loop stops when the constraint residual max_i |trace(U_i R R^T) - (2-K)|
-is below grad_tol (dual_converged) or after max_iterations, whichever comes
-first; nothing else ends it.  Since Y = R R^T has a unit diagonal, the
-residual never exceeds 2K - 2.
+is below _DUAL_GRAD_TOL (dual_converged) or after DualParams.max_iterations,
+whichever comes first; nothing else ends it.  The step 0.005 and the
+absolute tolerance 0.5 are fixed: dual ascent has no convergence guarantee,
+so the iteration cap is the one setting a caller needs.  Since Y = R R^T
+has a unit diagonal, the residual never exceeds 2K - 2.
 
 The dual function d(lambda) = min_Y trace(L_lambda Y) - (2-K) sum(lambda)
 is a lower bound on the relaxation optimum for every lambda.  The primal
@@ -28,7 +30,10 @@ with the eigen-solver's residual charged, so
     dual_bound = lower_bound - (2-K) sum(lambda) + offset
 
 (summed once and rounded down, see staircase._sum_down) is a lower bound
-on the discrete optimum at any lambda, converged or not, and
+on the discrete optimum at any lambda, converged or not (weak duality).
+So dars_solve reports the largest bound over all iterates, the later one on
+a tie, as dual_bound, its 1-based iteration as dual_bound_iteration and that
+iterate's primal certificate flag as certified, and
 subopt_bound = f_rounded - dual_bound.  f_relaxed, the primal value at
 a point that need not satisfy the sum constraints, is reported but is not
 a bound.  dars_solve returns a staircase.SolveResult with the dual-ascent
@@ -62,12 +67,15 @@ logger = logging.getLogger(__name__)
 
 DARS_SOLVER_PARAMS = SolverParams(grad_norm_tol=1e-3)
 
+# the dual loop's fixed step length and stop tolerance on the constraint
+# residual (see the module docstring)
+_DUAL_STEP_SIZE = 0.005
+_DUAL_GRAD_TOL = 0.5
+
 
 @dataclass(frozen=True)
 class DualParams:
-    step_size: float = 0.005
     max_iterations: int = 1000
-    grad_tol: float = 0.5
 
     def __post_init__(self):
         _check_params(self)
@@ -133,7 +141,9 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         R = res.R_opt
         rank_history = res.rank_history
         dual_values.append(res.objective - enc.rhs * float(lam.sum()))
-        dual_bound = _sum_down(res.lower_bound, -enc.rhs * lam, enc.offset)
+        bound = _sum_down(res.lower_bound, -enc.rhs * lam, enc.offset)
+        if iterations == 1 or bound >= dual_bound:
+            dual_bound, bound_iteration = bound, iterations
         cert_hist.append(res.certified)
         grad = dual_gradient(enc, R)
         residual = float(np.max(np.abs(grad)))
@@ -142,10 +152,10 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
             "dual iter=%d grad_inf_norm=%.6g primal_objective=%.12g rank=%d",
             iterations, residual, res.objective, R.shape[1],
         )
-        if residual < dual_params.grad_tol:
+        if residual < _DUAL_GRAD_TOL:
             converged = True
             break
-        lam = lam + dual_params.step_size * grad
+        lam = lam + _DUAL_STEP_SIZE * grad
 
     t_solve = time.perf_counter()
     labeling = dars_round(R, n, k)
@@ -163,11 +173,12 @@ def dars_solve(mrf: MrfInstance, params: SolverParams | None = None,
         f_relaxed=f_relaxed,
         f_rounded=f_rounded,
         subopt_bound=f_rounded - dual_bound,
-        certified=bool(cert_hist[-1]),
+        certified=bool(cert_hist[bound_iteration - 1]),
         rank_history=rank_history,
         offset=enc.offset,
         timings=timings,
         dual_bound=dual_bound,
+        dual_bound_iteration=bound_iteration,
         dual_converged=converged,
         dual_iterations=iterations,
         constraint_residual_max=residuals[-1],

@@ -185,27 +185,7 @@ def _kernel_weight(d2, lam1: float, lam2: float, beta: float):
     return lam1 + lam2 * np.exp(-beta * d2)
 
 
-def binary_weight_from_features(c_i, c_j, lam1: float, lam2: float, beta: float) -> float:
-    """Gaussian-kernel edge weight lam1 + lam2 * exp(-beta * ||c_i - c_j||^2)."""
-    a = np.asarray(c_i, dtype=float)
-    b = np.asarray(c_j, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidInputError("feature vectors must have equal length")
-    return float(_kernel_weight(float(np.sum((a - b) ** 2)), lam1, lam2, beta))
-
-
 # --- synthetic grid generation ------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantWeights:
-    value: float = 0.1
-
-
-@dataclass(frozen=True)
-class UniformWeights:
-    low: float = 0.05
-    high: float = 0.2
-
 
 @dataclass(frozen=True)
 class KernelWeights:
@@ -314,7 +294,8 @@ def generate_grid_instance(
 
     A smooth ground-truth labeling is sampled; each node gets one unary term
     whose measured label equals the truth with probability 1 - unary_noise
-    (uniform wrong label otherwise).  Edge weights follow the given model.
+    (uniform wrong label otherwise).  Edge weights come from
+    binary_weight_model, a KernelWeights (KernelWeights() when None).
     """
     _check_count(rows, "rows", 1)
     _check_count(cols, "cols", 1)
@@ -324,8 +305,9 @@ def generate_grid_instance(
     lo, hi = float(unary_weight_range[0]), float(unary_weight_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise InvalidInputError("unary_weight_range must be a finite (lo, hi) with lo <= hi")
-    if binary_weight_model is None:
-        binary_weight_model = KernelWeights()
+    model = KernelWeights() if binary_weight_model is None else binary_weight_model
+    if not isinstance(model, KernelWeights):
+        raise InvalidInputError(f"unknown binary weight model {model!r}")
 
     rng = _seeded_rng(seed)
     n = rows * cols
@@ -340,25 +322,13 @@ def generate_grid_instance(
     measured[flip] = (truth[flip] + offsets[flip]) % k
     weights = rng.uniform(lo, hi, size=n)
 
-    model = binary_weight_model
-    if isinstance(model, ConstantWeights):
-        if not math.isfinite(model.value):
-            raise InvalidInputError("constant edge weight must be finite")
-        ew = np.full(len(edges), float(model.value))
-    elif isinstance(model, UniformWeights):
-        if model.low > model.high:
-            raise InvalidInputError("uniform edge range must have low <= high")
-        ew = rng.uniform(model.low, model.high, size=len(edges))
-    elif isinstance(model, KernelWeights):
-        feats = np.eye(k)[truth] + model.feature_noise * rng.standard_normal((n, k))
-        d2 = np.sum((feats[edges[:, 0]] - feats[edges[:, 1]]) ** 2, axis=1)
-        beta = model.beta
-        if beta is None:
-            mean_d2 = float(d2.mean()) if d2.size else 0.0
-            beta = 0.0 if mean_d2 == 0.0 else 1.0 / (2.0 * mean_d2)
-        ew = _kernel_weight(d2, model.lam1, model.lam2, beta)
-    else:
-        raise InvalidInputError(f"unknown binary weight model {model!r}")
+    feats = np.eye(k)[truth] + model.feature_noise * rng.standard_normal((n, k))
+    d2 = np.sum((feats[edges[:, 0]] - feats[edges[:, 1]]) ** 2, axis=1)
+    beta = model.beta
+    if beta is None:
+        mean_d2 = float(d2.mean()) if d2.size else 0.0
+        beta = 0.0 if mean_d2 == 0.0 else 1.0 / (2.0 * mean_d2)
+    ew = _kernel_weight(d2, model.lam1, model.lam2, beta)
 
     inst = MrfInstance(n, k, np.arange(n), measured, weights,
                        edges[:, 0], edges[:, 1], ew)

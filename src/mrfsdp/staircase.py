@@ -199,6 +199,7 @@ class SolveResult:
     certificate: str | None = None
     # dual ascent (dars)
     dual_bound: float | None = None
+    dual_bound_iteration: int | None = None
     dual_converged: bool | None = None
     dual_iterations: int | None = None
     constraint_residual_max: float | None = None
@@ -268,7 +269,8 @@ def _steihaug(grad, hess_vec, precon, radius, max_iters, eta, g0):
         if dHd > 0.0:
             alpha = rz / dHd
             sCs_new = sCs + alpha * (2.0 * sCd + alpha * dCd)
-        if dHd <= 0.0 or sCs_new >= radius2:
+        # a NaN curvature (an overflowed Hessian product) exits here too
+        if not dHd > 0.0 or sCs_new >= radius2:
             disc = max(sCd * sCd + dCd * (radius2 - sCs), 0.0)
             tau = (math.sqrt(disc) - sCd) / dCd
             d *= tau

@@ -26,6 +26,7 @@ from mrfsdp.formats import (
     load_instance,
     load_labeling,
     load_result,
+    save_instance,
     strip_timing,
 )
 
@@ -141,10 +142,9 @@ def test_solve_dars_default_config(small_instance, tmp_path):
             "--out", out)
     doc = load_result(str(out))
     assert doc["config"]["solver"]["grad_norm_tol"] == 1e-3
-    assert doc["config"]["dual"] == {
-        "step_size": 0.005, "max_iterations": 1000, "grad_tol": 0.5,
-    }
+    assert doc["config"]["dual"] == {"max_iterations": 1000}
     assert doc["flags"]["dual_converged"] is True
+    assert 1 <= doc["dual"]["bound_iteration"] <= doc["dual"]["iterations"]
     assert doc["dual"]["constraint_residual_max"] < 0.5
     assert doc["objectives"]["dual_bound"] is not None
 
@@ -182,11 +182,12 @@ def test_malformed_config_block_is_an_input_error(small_instance, config,
 
 
 @pytest.mark.parametrize("config,named", [
+    # the icm method reads no block, so any icm block is rejected whole
     ({"method": "icm", "icm": [1]}, "'icm'"),
-    ({"method": "icm", "icm": {"max_sweeps": "x"}}, "'icm'.*'max_sweeps'"),
-    ({"method": "icm", "icm": {"max_sweeps": 2.5}}, "'icm'.*'max_sweeps'"),
-    ({"method": "icm", "icm": {"max_sweeps": -1}}, "'icm'.*'max_sweeps'"),
-    ({"method": "icm", "icm": {"bogus": 1}}, "'icm'.*'bogus'"),
+    ({"method": "icm", "icm": {"max_sweeps": "x"}}, "'icm'"),
+    ({"method": "icm", "icm": {"max_sweeps": 2.5}}, "'icm'"),
+    ({"method": "icm", "icm": {"max_sweeps": -1}}, "'icm'"),
+    ({"method": "icm", "icm": {"bogus": 1}}, "'icm'"),
     ({"method": "exact", "budget": "big"}, "'budget'"),
     ({"method": "exact", "budget": 0}, "'budget'"),
 ], ids=["icm-not-object", "max-sweeps-string", "max-sweeps-float",
@@ -226,9 +227,65 @@ def test_negative_seed_flag_exits_2(argv, small_instance, tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
-def test_negative_icm_max_sweeps_flag_exits_2(small_instance):
-    assert run_cli("solve", "--instance", small_instance, "--method", "icm",
-                   "--icm-max-sweeps", "-1") == 2
+@pytest.mark.parametrize("config", [["method"], "method", None, 1],
+                         ids=["list", "string", "null", "number"])
+def test_config_that_is_not_an_object_is_an_input_error(small_instance,
+                                                        config):
+    with pytest.raises(InvalidInputError, match="config must be an object"):
+        run_from_config(load_instance(str(small_instance)), config)
+
+
+@pytest.mark.parametrize("method,key", [
+    ("fuses", "dual"), ("fuses", "budget"), ("dars", "init"), ("icm", "solver"),
+    ("exact", "init"), ("exact", "icm"),
+])
+def test_config_key_the_method_does_not_read_is_rejected(small_instance,
+                                                         method, key):
+    config = dict(_config(method), **{key: {}})
+    with pytest.raises(InvalidInputError, match=f"'{key}'.*'{method}'"):
+        run_from_config(load_instance(str(small_instance)), config)
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("dual", "step_size", 0.005), ("dual", "grad_tol", 0.5),
+    ("icm", None, {"init": "unary", "max_sweeps": 100}),
+], ids=["dual-step-size", "dual-grad-tol", "icm-block"])
+def test_old_document_settings_are_rejected_by_name(small_instance, tmp_path,
+                                                    block, key, value):
+    # a document written while these were settings: rerunning it fails by
+    # name rather than solving with the fixed values
+    method = "dars" if block == "dual" else "icm"
+    out = tmp_path / "doc.json"
+    flags = ("--dual-max-iterations", 1) if method == "dars" else ()
+    assert run_cli("solve", "--instance", small_instance, "--method", method,
+                   *flags, "--out", out) == 0
+    config = load_result(str(out))["config"]
+    if key is None:
+        config[block] = value
+    else:
+        config[block][key] = value
+    with pytest.raises(InvalidInputError, match=f"'{key or block}'"):
+        run_from_config(load_instance(str(small_instance)), config)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--edge-model", "constant"), ("gen", "--edge-const", "0.1"),
+    ("gen", "--edge-lo", "0.05"), ("gen", "--edge-hi", "0.2"),
+    ("solve", "--icm-init", "zeros"), ("solve", "--icm-max-sweeps", "-1"),
+    ("solve", "--dual-step-size", "0.005"), ("solve", "--dual-grad-tol", "0.5"),
+    ("bench", "--dual-step-size", "0.005"), ("bench", "--dual-grad-tol", "0.5"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_removed_flags_are_usage_errors(argv, small_instance, tmp_path):
+    command, *flag = argv
+    base = {"gen": ("--rows", 2, "--cols", 2, "--labels", 2,
+                    "--out", tmp_path / "g.json"),
+            "solve": ("--instance", small_instance, "--method", "icm"),
+            "bench": ("--sizes", "2x2", "--labels", "2", "--methods", "icm",
+                      "--seeds", 1)}[command]
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *base, *flag)
+    assert err.value.code == 2
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_eval_self_comparison(small_instance, tmp_path, capsys):
@@ -304,10 +361,23 @@ def test_eval_errored_exact_reference_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_solve_dars_nan_step_size_exit_2(small_instance, capsys):
+def test_solve_dars_zero_max_iterations_exit_2(small_instance, capsys):
     assert run_cli("solve", "--instance", small_instance, "--method", "dars",
-                   "--dual-step-size", "nan") == 2
+                   "--dual-max-iterations", "0") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("method", ["fuses", "dars"])
+def test_solve_overflowing_weights_exit_3(method, tmp_path, capsys):
+    # the Hessian products overflow: a typed numerical failure, not a crash
+    inst = tmp_path / "huge.json"
+    save_instance(mrfsdp.MrfInstance(2, 2, [0], [1], [1e300], [0], [1],
+                                     [1e300]), str(inst))
+    out = tmp_path / "r.json"
+    assert run_cli("solve", "--instance", inst, "--method", method,
+                   "--out", out) == 3
+    assert load_result(str(out))["error"]["type"] == "NumericalFailureError"
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_solve_missing_instance_exit_2(tmp_path):
@@ -443,7 +513,7 @@ def test_bench_seeds_below_one_exit_2(seeds, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method,flag,value", [
-    ("dars", "--dual-step-size", "nan"),
+    ("dars", "--dual-max-iterations", "0"),
     ("fuses", "--grad-norm-tol", "-1"),
 ])
 def test_bench_bad_solver_flag_exit_2(method, flag, value, capsys):
@@ -540,11 +610,10 @@ _EXPECTED_KEYS = {
         "staircase.min_eig", "staircase.certificate"},
     "dars": _COMMON_KEYS | _SOLVER_KEYS | {"config.dual"} | {
         f"config.dual.{f.name}" for f in fields(DualParams)} | {
-        "staircase.rank_history", "dual.iterations",
+        "staircase.rank_history", "dual.iterations", "dual.bound_iteration",
         "dual.constraint_residual_max", "dual.residual_history",
         "dual.dual_value_history"},
-    "icm": _COMMON_KEYS | {"config.icm", "config.icm.init",
-                           "config.icm.max_sweeps"},
+    "icm": _COMMON_KEYS,
     "exact": _COMMON_KEYS | {"config.budget", "states_enumerated"},
 }
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -62,17 +64,18 @@ TEST_INSTANCE = make_instance(
 
 
 def test_dual_defaults_match_reference_table():
-    p = DualParams()
-    assert p.step_size == 0.005
-    assert p.max_iterations == 1000
-    assert p.grad_tol == 0.5
+    # the iteration cap is the one setting; step and tolerance are fixed
+    assert [f.name for f in fields(DualParams)] == ["max_iterations"]
+    assert DualParams().max_iterations == 1000
+    assert dars._DUAL_STEP_SIZE == 0.005
+    assert dars._DUAL_GRAD_TOL == 0.5
 
 
 def test_single_node_constraint_residual():
     inst = make_instance(1, 4, [(0, 2, 1.0)])
     res = dars_solve(inst, seed=0)
     assert res.dual_converged
-    assert res.constraint_residual_max < DualParams().grad_tol
+    assert res.constraint_residual_max < dars._DUAL_GRAD_TOL
     assert np.array_equal(res.labeling, [2])
 
 
@@ -195,16 +198,16 @@ TEST_INSTANCE_K3 = make_instance(
 )
 
 
-def test_three_label_oracle_agreement():
+def test_three_label_oracle_agreement(monkeypatch):
     # default tolerance: the dual bound must stay below the true relaxation
     # optimum (weak duality holds regardless of how loosely lambda converged)
     loose = dars_solve(TEST_INSTANCE_K3, seed=16)
     assert loose.dual_converged and loose.certified
     assert loose.dual_bound <= ORACLE_RELAXED_OPTIMUM_K3 + 1e-3
     # tightened tolerance: the relaxed objective converges onto the oracle
+    monkeypatch.setattr(dars, "_DUAL_GRAD_TOL", 0.02)
     tight = dars_solve(TEST_INSTANCE_K3, seed=16,
-                       dual_params=DualParams(grad_tol=0.02,
-                                              max_iterations=5000))
+                       dual_params=DualParams(max_iterations=5000))
     assert tight.dual_converged and tight.certified
     assert abs(tight.f_relaxed - ORACLE_RELAXED_OPTIMUM_K3) <= \
         0.005 * ORACLE_RELAXED_OPTIMUM_K3
@@ -246,10 +249,73 @@ def test_certificate_semantics():
     assert not all(res.certified for res in runs)
 
 
+def _scaled(inst, c):
+    return MrfInstance(inst.num_nodes, inst.num_labels, inst.unary_node,
+                       inst.unary_label, c * inst.unary_weight, inst.edge_i,
+                       inst.edge_j, c * inst.edge_weight)
+
+
+@pytest.mark.parametrize("inst, max_iterations", [
+    # no terms: iteration 1's bound is the optimum 0, later ones fall below
+    (MrfInstance(3, 2), 20),
+    # weights x1e-3: iteration 1's bound is the best, by a factor of ~40
+    (_scaled(generate_grid_instance(10, 10, 5, unary_noise=0.3, seed=0),
+             1e-3), 10),
+], ids=["zero", "scaled-10x10"])
+def test_dual_bound_is_the_best_over_all_iterates(inst, max_iterations,
+                                                  monkeypatch):
+    # every iterate's bound, in order: dars_solve sums each with _sum_down
+    bounds = []
+
+    def recording_sum_down(*terms):
+        bounds.append(staircase._sum_down(*terms))
+        return bounds[-1]
+
+    monkeypatch.setattr(dars, "_sum_down", recording_sum_down)
+    res = dars_solve(inst, dual_params=DualParams(max_iterations=max_iterations),
+                     seed=0)
+    assert not res.dual_converged and len(bounds) == max_iterations
+    assert res.dual_bound == max(bounds) > bounds[-1]
+    assert res.dual_bound_iteration == 1
+    assert res.subopt_bound == res.f_rounded - res.dual_bound
+    assert res.certified == res.primal_certified_history[0]
+    if inst.num_nodes == 3:
+        assert res.subopt_bound == 0.0
+
+
+def test_dual_bound_tie_goes_to_the_later_iterate(monkeypatch):
+    # every iterate's bound equal: the last one is reported
+    monkeypatch.setattr(dars, "_sum_down", lambda *terms: -1.0)
+    res = dars_solve(TEST_INSTANCE, dual_params=DualParams(max_iterations=3),
+                     seed=0)
+    assert res.dual_bound == -1.0
+    assert res.dual_bound_iteration == res.dual_iterations == 3
+
+
+def test_certified_is_the_flag_of_the_bound_s_iterate(monkeypatch):
+    # iteration 1 gives the best bound and is the only certified primal step
+    solve = dars.staircase_solve
+    calls = []
+
+    def first_certified(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append(res)
+        res.certified = len(calls) == 1
+        return res
+
+    monkeypatch.setattr(dars, "staircase_solve", first_certified)
+    monkeypatch.setattr(dars, "_sum_down", lambda *terms: -float(len(calls)))
+    res = dars_solve(TEST_INSTANCE, dual_params=DualParams(max_iterations=3),
+                     seed=0)
+    assert res.primal_certified_history == [True, False, False]
+    assert res.dual_bound == -1.0 and res.dual_bound_iteration == 1
+    assert res.certified
+
+
 def test_constraint_residual_reasserted_on_result():
     res = dars_solve(TEST_INSTANCE, seed=0)
     assert res.dual_converged
-    assert res.constraint_residual_max < DualParams().grad_tol
+    assert res.constraint_residual_max < dars._DUAL_GRAD_TOL
     assert res.constraint_residual_max == res.residual_history[-1]
 
 
@@ -300,21 +366,20 @@ def test_l_lambda_adds_symmetrized_constraints():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("step_size", float("nan")), ("step_size", 0.0),
-    ("max_iterations", 0), ("grad_tol", float("nan")), ("grad_tol", -1.0),
-    ("max_iterations", 2.5),
+    ("max_iterations", 0), ("max_iterations", 2.5),
 ])
 def test_dual_params_validation(field, value):
     with pytest.raises(InvalidInputError):
         DualParams(**{field: value})
 
 
-def test_oversized_step_reports_nonconvergence():
+def test_oversized_step_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(dars, "_DUAL_STEP_SIZE", 50.0)
     res = dars_solve(TEST_INSTANCE, seed=0,
-                     dual_params=DualParams(step_size=50.0, max_iterations=50))
+                     dual_params=DualParams(max_iterations=50))
     assert not res.dual_converged
     assert res.dual_iterations == 50
-    assert res.constraint_residual_max >= DualParams().grad_tol
+    assert res.constraint_residual_max >= dars._DUAL_GRAD_TOL
 
 
 def test_mixed_sign_instances_report_honestly(rng):
@@ -329,7 +394,7 @@ def test_mixed_sign_instances_report_honestly(rng):
         res = dars_solve(inst, seed=t, dual_params=dual)
         exact = brute_force(inst)
         if res.dual_converged:
-            assert res.constraint_residual_max < dual.grad_tol
+            assert res.constraint_residual_max < dars._DUAL_GRAD_TOL
             if res.certified:
                 assert res.dual_bound <= exact.f_opt + 1e-3
         else:

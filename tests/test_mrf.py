@@ -11,12 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfsdp import (
-    ConstantWeights,
     InvalidInputError,
     KernelWeights,
     MrfInstance,
-    UniformWeights,
-    binary_weight_from_features,
     energy,
     energy_batch,
     generate_grid_instance,
@@ -26,7 +23,7 @@ from mrfsdp import (
     unary_argmax_labeling,
 )
 from mrfsdp.formats import dumps_instance
-from mrfsdp.mrf import _patch_labeling
+from mrfsdp.mrf import _kernel_weight, _patch_labeling
 
 from conftest import (
     all_labelings,
@@ -351,11 +348,7 @@ def _sha256(text):
      "9f13c159923d5ba57514ece62589b02e0309e3bff0f15e5edd12323c76c6bed8"),
     (3, KernelWeights(),
      "47b857065b1151dcf749b4fa787248527fcb5442968ced4c65c8b7fd932e0df1"),
-    (4, UniformWeights(),
-     "4dc5636ea8d85b2709f2927d5faaebc200ac616d7df82423869de63af8014368"),
-    (5, ConstantWeights(),
-     "f0ae39fc782032065e76e10495fb7f8c058144c9cb8d559dca08a96db5bd088d"),
-], ids=["kernel-1", "kernel-2", "kernel-3", "uniform-4", "constant-5"])
+], ids=["kernel-1", "kernel-2", "kernel-3"])
 def test_grid_instance_golden(seed, model, digest):
     # seeded instances pinned byte for byte: a numpy release that changes
     # Generator.integers, or a slip in the replayed draws, shows here
@@ -382,26 +375,25 @@ def test_grid_one_unary_per_node_and_truth():
 
 
 def test_grid_edge_weight_models():
-    const = generate_grid_instance(2, 3, 2, seed=0,
-                                   binary_weight_model=ConstantWeights(0.25))
-    assert all(w == 0.25 for w in const.edge_weight)
-    uni = generate_grid_instance(2, 3, 2, seed=0,
-                                 binary_weight_model=UniformWeights(0.1, 0.2))
-    assert all(0.1 <= w <= 0.2 for w in uni.edge_weight)
+    # the kernel is the one edge model; None stands for its defaults
     ker = generate_grid_instance(2, 3, 2, seed=0,
                                  binary_weight_model=KernelWeights(0.02, 0.04))
     assert all(0.02 <= w <= 0.06 + 1e-12 for w in ker.edge_weight)
+    default = generate_grid_instance(2, 3, 2, seed=0)
+    assert dumps_instance(default) == dumps_instance(generate_grid_instance(
+        2, 3, 2, seed=0, binary_weight_model=KernelWeights()))
+    for model in (0.25, (0.1, 0.2), "constant"):
+        with pytest.raises(InvalidInputError, match="binary weight model"):
+            generate_grid_instance(2, 3, 2, seed=0, binary_weight_model=model)
 
 
 def test_kernel_weight_equal_features():
     # exponent vanishes, so the weight is the sum of the two coefficients
-    assert binary_weight_from_features([1.0, 2.0], [1.0, 2.0],
-                                       0.02, 0.04, 5.0) == pytest.approx(0.06)
+    assert _kernel_weight(0.0, 0.02, 0.04, 5.0) == pytest.approx(0.06)
 
 
 def test_kernel_weight_lam2_zero():
-    assert binary_weight_from_features([0.0], [9.0], 0.7, 0.0, 1.0) == \
-        pytest.approx(0.7)
+    assert _kernel_weight(81.0, 0.7, 0.0, 1.0) == pytest.approx(0.7)
 
 
 def test_kernel_weight_high_precision_oracle():
@@ -410,18 +402,14 @@ def test_kernel_weight_high_precision_oracle():
     decimal.getcontext().prec = 50
     expected = decimal.Decimal("0.02") + decimal.Decimal("0.04") * (
         -decimal.Decimal("0.000173") * decimal.Decimal(1000)).exp()
-    c_i = np.zeros(4)
-    c_j = np.zeros(4)
-    c_j[0] = math.sqrt(1000.0)
-    got = binary_weight_from_features(c_i, c_j, 0.02, 0.04, 0.000173)
+    got = _kernel_weight(1000.0, 0.02, 0.04, 0.000173)
     assert got == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_kernel_weight_errors():
-    with pytest.raises(InvalidInputError):
-        binary_weight_from_features([1.0], [1.0, 2.0], 0.0, 1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        binary_weight_from_features([1.0], [1.0], 0.0, 1.0, -1.0)
+    for beta in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            _kernel_weight(0.0, 0.0, 1.0, beta)
 
 
 @pytest.mark.parametrize(

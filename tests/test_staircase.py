@@ -160,6 +160,19 @@ def test_tnt_nonfinite_objective_raises(rng):
     assert err.value.last_point is not None
 
 
+@pytest.mark.parametrize("solve", [fuses_solve, dars_solve],
+                         ids=["fuses", "dars"])
+@pytest.mark.parametrize("weight", [1e155, 1e200, 1e250, 1e300])
+def test_overflowing_curvature_is_a_numerical_failure(solve, weight):
+    # CG's curvature d^T H d comes out NaN here: it takes the boundary exit,
+    # and the step fails TNT's finite-objective check
+    inst = make_instance(2, 2, [(0, 1, weight)], [(0, 1, weight)])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailureError, match="non-finite") as err:
+        solve(inst, seed=0)
+    assert err.value.last_point is not None
+
+
 def test_staircase_unary_only_certifies_first_rank():
     unary = [(i, (i * 2) % 3, 1.0 + 0.1 * i) for i in range(4)]
     inst = make_instance(4, 3, unary)
